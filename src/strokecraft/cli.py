@@ -37,7 +37,7 @@ from .painting import MatchConfig, StrokePredictor, layered_paint, scene_source,
 from .pixmap import read_pixmap, write_pixmap
 from .strokes.canvas import Canvas
 from .strokes.fitting import FIT_ITERATIONS, fit_stroke
-from .strokes.generate import generate_visible_stroke
+from .strokes.generate import MIN_CORE_PIXELS, generate_visible_stroke
 from .strokes.model import BezierStroke, save_strokes
 from .strokes.raster import rasterize_stroke
 
@@ -119,9 +119,14 @@ def _list_pixmaps(directory: Path) -> list[Path]:
 
 
 def run_gen_data(config: dict) -> RunManifest:
+    if config["count"] < 1:
+        raise ConfigError(f"need at least one stroke, got --count {config['count']}")
+    side = config["canvas_size"]
+    if side * side < MIN_CORE_PIXELS:
+        raise ConfigError(f"a {side}x{side} canvas cannot hold the {MIN_CORE_PIXELS}-pixel "
+                          "stroke core every image needs")
     out = _out_dir(config)
     rng = np.random.default_rng(config["seed"])
-    side = config["canvas_size"]
     channels = 1 if config["gray"] else 3
     suffix = ".pgm" if channels == 1 else ".ppm"
     strokes = []
@@ -333,7 +338,17 @@ def run_replay(config: dict) -> RunManifest:
     replayed = dict(manifest.config)
     if config["out"] is not None:
         replayed["out"] = config["out"]
+    missing = sorted(_config_keys(manifest.command) - replayed.keys())
+    if missing:
+        raise DataIOError(f"manifest config for {manifest.command} lacks {', '.join(missing)}")
     return RUNNERS[manifest.command](replayed)
+
+
+def _config_keys(command: str) -> set[str]:
+    """The config keys a command's runner reads: the destinations of its flags."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in commands.choices[command]._actions if a.dest != "help"}
 
 
 RUNNERS = {

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..errors import ConfigError
 from ..strokes.model import PARAM_COUNT, SPATIAL_DIMS
@@ -159,6 +158,17 @@ def pairwise_cost(pred_p: np.ndarray, pred_d: float, gt_p: np.ndarray, gt_d: flo
     cos_dist, _ = cosine_distance(gt_p, pred_p)
     presence, _ = bce(gt_d, pred_d)
     return cfg.lambda_l1 * l1 + cfg.lambda_cos * cos_dist + cfg.lambda_presence * presence
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's assignment solver, imported on first use.
+
+    Importing scipy.optimize takes about half a second, which every command
+    that never matches strokes would otherwise pay at start-up.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def hungarian_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -186,13 +186,15 @@ def predict_strokes(predictor: StrokePredictor, current: Canvas, target: Canvas,
     ]
 
 
-def loss_and_grad(predictor: StrokePredictor, current: Canvas, target: Canvas,
-                  gts: list, cfg: MatchConfig,
-                  ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Total matching-plus-ranking loss and its gradient in the weights.
+def forward_loss(predictor: StrokePredictor, current: Canvas, target: Canvas,
+                 gts: list, cfg: MatchConfig,
+                 ) -> tuple[np.ndarray, dict, float, np.ndarray, np.ndarray]:
+    """One forward pass, the matching-plus-ranking loss and its gradient in the slots.
 
     Only ground-truth strokes flagged present take part in the matching.
-    Returns (loss, flat gradient, matched prediction index per ground truth).
+    Returns (slot outputs u, forward cache, loss, d loss/d u, matched
+    prediction index per present ground truth); the ranking score of slot
+    j is u[j, PARAM_COUNT + 2].
     """
     present = [g for g in gts if g.d == 1.0]
     side = float(predictor.arch["input_side"])
@@ -213,6 +215,18 @@ def loss_and_grad(predictor: StrokePredictor, current: Canvas, target: Canvas,
     grad_u[:, PARAM_COUNT:PARAM_COUNT + 2] = grad_p[:, PARAM_COUNT:]
     grad_u[:, PARAM_COUNT + 2] = grad_scr
     grad_u[:, PARAM_COUNT + 3] = grad_d
+    return u, cache, loss, grad_u, assignment
+
+
+def loss_and_grad(predictor: StrokePredictor, current: Canvas, target: Canvas,
+                  gts: list, cfg: MatchConfig,
+                  ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Total matching-plus-ranking loss and its gradient in the weights.
+
+    Returns (loss, flat gradient, matched prediction index per present
+    ground truth); see forward_loss.
+    """
+    _, cache, loss, grad_u, assignment = forward_loss(predictor, current, target, gts, cfg)
     return loss, predictor._backward(grad_u, cache), assignment
 
 

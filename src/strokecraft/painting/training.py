@@ -10,9 +10,10 @@ from .. import nn
 from ..errors import ConfigError, NumericalError
 from ..strokes.canvas import Canvas
 from ..strokes.generate import generate_visible_stroke
+from ..strokes.model import PARAM_COUNT
 from ..strokes.raster import DEFAULT_SAMPLES, DEFAULT_SOFTNESS, compose_over, polyline_points
 from .losses import GroundTruthStroke, MatchConfig
-from .predictor import StrokePredictor, loss_and_grad, predict_strokes
+from .predictor import StrokePredictor, forward_loss, loss_and_grad
 
 DEFAULT_SCENE_SIDE = 32
 
@@ -108,12 +109,13 @@ class PredictorTraining:
 
 
 def _holdout_rank_error(predictor: StrokePredictor, scenes: list, cfg: MatchConfig) -> float:
+    """Mean pairwise rank error of the matched slots, one forward pass per scene."""
     errors = []
     for current, target, gts in scenes:
         if len(gts) < 2:
             continue
-        _, _, assignment = loss_and_grad(predictor, current, target, gts, cfg)
-        scr = np.array([p.scr_r for p in predict_strokes(predictor, current, target)])
+        u, _, _, _, assignment = forward_loss(predictor, current, target, gts, cfg)
+        scr = u[:, PARAM_COUNT + 2]
         order = np.array([g.order_index for g in gts])
         errors.append(pairwise_rank_error(scr[assignment], order))
     return float(np.mean(errors)) if errors else 0.0

@@ -10,10 +10,12 @@ from .canvas import Canvas
 from .model import BezierStroke, ParamRanges, generate_random_stroke, max_opacity_equivalent
 from .raster import DEFAULT_SAMPLES, DEFAULT_SOFTNESS, rasterize_stroke
 
+MIN_CORE_PIXELS = 25
+
 
 def generate_visible_stroke(rng: np.random.Generator, side: int, *,
                             channels: int = 3,
-                            min_core_pixels: int = 25,
+                            min_core_pixels: int = MIN_CORE_PIXELS,
                             identifiable_iou: float | None = 0.9,
                             max_tries: int = 1000,
                             samples: int = DEFAULT_SAMPLES,

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,23 @@ class TestGenData:
         assert manifest.seed == 5
         assert manifest.outputs["parameters"] == "params.json"
         assert manifest.config["count"] == 3
+
+
+    def test_count_below_one_is_a_config_error(self, tmp_path):
+        for count in ("0", "-3"):
+            out = tmp_path / f"count{count}"
+            assert main(["gen-data", "--count", count, "--canvas-size", "16",
+                         "--seed", "1", "--out", str(out)]) == 2
+            assert not out.exists()
+
+    def test_canvas_too_small_for_a_core_is_refused_before_drawing(self, tmp_path, monkeypatch):
+        draws = []
+        monkeypatch.setattr("strokecraft.strokes.generate.generate_random_stroke",
+                            lambda *args: draws.append(1))
+        assert main(["gen-data", "--count", "2", "--canvas-size", "4",
+                     "--seed", "1", "--out", str(tmp_path / "tiny")]) == 2
+        assert draws == []
+        assert not (tmp_path / "tiny").exists()
 
 
 class TestVerifyMath:
@@ -255,6 +276,22 @@ class TestReplay:
         path.write_text("{oops")
         assert main(["replay", "--manifest", str(path), "--out", str(tmp_path)]) == 3
 
+    def test_config_missing_a_key_is_an_io_error(self, workspace, tmp_path, capsys):
+        painted = tmp_path / "painted"
+        assert main(["paint", "--target", str(workspace / "data" / "stroke_000.ppm"),
+                     "--predictor", str(workspace / "ptrain" / "predictor.ckpt"),
+                     "--layers", "1", "--out", str(painted)]) == 0
+        manifest = RunManifest.load(painted / "manifest.json")
+        config = dict(manifest.config)
+        del config["threshold"]
+        RunManifest(command="paint", config=config, seed=manifest.seed,
+                    inputs=manifest.inputs, outputs=manifest.outputs).save(tmp_path / "m.json")
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "again")]) == 3
+        assert "threshold" in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
     def test_unknown_command_is_rejected(self, tmp_path):
         RunManifest(command="gen-data", config={}).save(tmp_path / "m.json")
         loaded = RunManifest.load(tmp_path / "m.json")
@@ -262,6 +299,15 @@ class TestReplay:
         hacked.save(tmp_path / "m.json")
         assert main(["replay", "--manifest", str(tmp_path / "m.json"),
                      "--out", str(tmp_path)]) == 3
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, strokecraft.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestParser:

@@ -912,3 +912,26 @@ class TestTraining:
         order = np.array([g.order_index for g in held[2]])
         expected = pairwise_rank_error(scr[assignment], order)
         assert result.rank_error_history[-1] == pytest.approx(expected)
+
+    def test_holdout_rank_error_equals_the_two_call_computation(self):
+        """One forward per scene gives the same bits as loss_and_grad plus predict_strokes."""
+        from strokecraft.painting.predictor import forward_loss
+        from strokecraft.painting.training import _holdout_rank_error
+
+        cfg = MatchConfig(max_strokes=4)
+        predictor = small_predictor(seed=42, max_strokes=4)
+        scenes = [tiny_scene(43 + k, side=8, count=2 + k % 3) for k in range(6)]
+        scenes.append(tiny_scene(49, side=8, count=1))  # skipped: one stroke
+        errors = []
+        for current, target, gts in scenes:
+            if len(gts) < 2:
+                continue
+            _, _, assignment = loss_and_grad(predictor, current, target, gts, cfg)
+            scr = np.array([p.scr_r for p in predict_strokes(predictor, current, target)])
+            order = np.array([g.order_index for g in gts])
+            errors.append(pairwise_rank_error(scr[assignment], order))
+            u, _, loss, _, same = forward_loss(predictor, current, target, gts, cfg)
+            np.testing.assert_array_equal(same, assignment)
+            assert loss == loss_and_grad(predictor, current, target, gts, cfg)[0]
+        assert len(errors) == 6 and len(set(errors)) > 1
+        assert _holdout_rank_error(predictor, scenes, cfg) == float(np.mean(errors))

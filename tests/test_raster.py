@@ -1,0 +1,165 @@
+"""Rasterizer fast paths against the slow paths they replace.
+
+The segment-chunked distance field must equal a single pass over all
+segments to the bit, and the windowed compositing must equal full-canvas
+compositing to the bit inside the footprint window and within TAIL outside.
+"""
+
+import numpy as np
+import pytest
+
+from strokecraft.errors import ConfigError
+from strokecraft.strokes import fit_stroke, generate_visible_stroke
+from strokecraft.strokes import raster
+from strokecraft.strokes.canvas import Canvas
+from strokecraft.strokes.model import BezierStroke, ParamRanges, generate_random_stroke
+from strokecraft.strokes.raster import (
+    TAIL,
+    compose_over,
+    coverage_batch,
+    distance_field_batch,
+    footprint_window,
+    polyline_points,
+    stroke_alpha,
+)
+
+
+def single_pass_field(poly, height, width, origin=(0, 0)):
+    """The distance field as one (B, S-1, H, W) array, reduced once."""
+    a = poly[:, :-1]
+    seg = poly[:, 1:] - a
+    len2 = np.sum(seg * seg, axis=-1)
+    xs = np.arange(width, dtype=np.float64) + origin[1] + 0.5
+    ys = np.arange(height, dtype=np.float64) + origin[0] + 0.5
+    px = xs[None, None, None, :]
+    py = ys[None, None, :, None]
+    dx0 = px - a[:, :, 0, None, None]
+    dy0 = py - a[:, :, 1, None, None]
+    dot = dx0 * seg[:, :, 0, None, None] + dy0 * seg[:, :, 1, None, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(len2[:, :, None, None] > 0.0, dot / len2[:, :, None, None], 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    cx = dx0 - t * seg[:, :, 0, None, None]
+    cy = dy0 - t * seg[:, :, 1, None, None]
+    d2 = cx * cx + cy * cy
+    return np.sqrt(d2.min(axis=1))
+
+
+def full_canvas_compose(base, stroke):
+    """Composite over every pixel of the canvas, as before the window."""
+    alpha = stroke_alpha(stroke, (base.height, base.width))[:, :, None]
+    color = raster._stroke_channels(stroke, base.channels)
+    return alpha * color + (1.0 - alpha) * base.pixels
+
+
+def random_vectors(seed, count, side):
+    rng = np.random.default_rng(seed)
+    ranges = ParamRanges.for_canvas(side)
+    return np.stack([generate_random_stroke(rng, ranges).vector for _ in range(count)])
+
+
+class TestChunkedDistanceField:
+    @pytest.mark.parametrize("budget", [1, 700, 5_000, 2**18, 2**30])
+    def test_bit_equal_to_a_single_pass(self, budget, monkeypatch):
+        monkeypatch.setattr(raster, "CHUNK_ELEMENTS", budget)
+        poly = polyline_points(random_vectors(1, 3, 20), 17)
+        np.testing.assert_array_equal(distance_field_batch(poly, 20, 20),
+                                      single_pass_field(poly, 20, 20))
+
+    def test_zero_length_segments_are_point_distances(self, monkeypatch):
+        monkeypatch.setattr(raster, "CHUNK_ELEMENTS", 3 * 12 * 12)
+        vectors = random_vectors(2, 2, 12)
+        vectors[0, :8] = np.tile([5.25, 7.5], 4)  # a single point
+        vectors[1, 2:6] = vectors[1, 0:2].tolist() * 2  # repeated start point
+        poly = polyline_points(vectors, 9)
+        got = distance_field_batch(poly, 12, 12)
+        np.testing.assert_array_equal(got, single_pass_field(poly, 12, 12))
+        ys, xs = np.mgrid[0:12, 0:12] + 0.5
+        np.testing.assert_allclose(got[0], np.hypot(xs - 5.25, ys - 7.5), atol=1e-12)
+
+    @pytest.mark.parametrize("budget", [50, 2**18])
+    def test_origin_shifts_the_pixel_grid(self, budget, monkeypatch):
+        monkeypatch.setattr(raster, "CHUNK_ELEMENTS", budget)
+        poly = polyline_points(random_vectors(3, 2, 40), 12)
+        window = distance_field_batch(poly, 9, 14, origin=(17, 5))
+        np.testing.assert_array_equal(window, single_pass_field(poly, 9, 14, (17, 5)))
+        np.testing.assert_array_equal(window, distance_field_batch(poly, 40, 40)[:, 17:26, 5:19])
+
+    def test_coverage_passes_the_origin_through(self):
+        vectors = random_vectors(4, 2, 30)
+        window = coverage_batch(vectors, 6, 11, 16, 0.8, origin=(20, 3))
+        np.testing.assert_array_equal(window, coverage_batch(vectors, 30, 30, 16, 0.8)[:, 20:26, 3:14])
+
+
+class TestFootprintWindow:
+    def make(self, points, width=4.0, color=(200, 40, 90), opacity=0.9):
+        return BezierStroke(np.array([*points, *color, opacity, width], dtype=float))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_random_strokes_match_the_full_canvas(self, channels, seed):
+        rng = np.random.default_rng(seed)
+        side = 96
+        base = Canvas(rng.uniform(size=(side, side, channels)))
+        for vector in random_vectors(seed, 4, side):
+            vector[:8] *= 0.3  # smaller strokes, so the window is a true sub-box
+            stroke = BezierStroke(vector)
+            reference = full_canvas_compose(base, stroke)
+            got = compose_over(base, stroke).pixels
+            rows, cols = footprint_window(stroke.vector, side, side)
+            np.testing.assert_array_equal(got[rows, cols], reference[rows, cols])
+            assert np.abs(got - reference).max() <= TAIL
+            base = Canvas(got)
+
+    def test_window_is_the_grown_control_box(self):
+        stroke = self.make([60.0, 70.0, 64.0, 72.0, 68.0, 71.0, 72.0, 75.0], width=4.0)
+        margin = 2.0 + 0.8 * np.log(1.0 / TAIL)
+        rows, cols = footprint_window(stroke.vector, 200, 300)
+        assert (cols.start, cols.stop) == (int(np.floor(60 - margin)), int(np.ceil(72 + margin)))
+        assert (rows.start, rows.stop) == (int(np.floor(70 - margin)), int(np.ceil(75 + margin)))
+        got = compose_over(Canvas(np.full((200, 300, 3), 0.25)), stroke).pixels
+        assert (got[:, :cols.start] == 0.25).all() and (got[:, cols.stop:] == 0.25).all()
+        assert (got[:rows.start] == 0.25).all() and (got[rows.stop:] == 0.25).all()
+        assert not (got[rows, cols] == 0.25).all()
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_strokes_touching_the_edges(self, channels):
+        base = Canvas(np.linspace(0, 1, 64 * 64 * channels).reshape(64, 64, channels))
+        for points in ([-3.0, 2.0, 10.0, -4.0, 30.0, 1.0, 66.0, 3.0],
+                       [62.0, -2.0, 63.0, 20.0, 60.0, 40.0, 65.0, 66.0],
+                       [0.0, 63.5, 20.0, 64.0, 40.0, 65.0, 63.9, 64.0]):
+            stroke = self.make(points, width=3.0)
+            reference = full_canvas_compose(base, stroke)
+            got = compose_over(base, stroke).pixels
+            rows, cols = footprint_window(stroke.vector, 64, 64)
+            np.testing.assert_array_equal(got[rows, cols], reference[rows, cols])
+            assert np.abs(got - reference).max() <= TAIL
+
+    def test_off_canvas_stroke_returns_an_unchanged_copy(self):
+        base = Canvas(np.full((40, 40, 3), 0.5))
+        stroke = self.make([150.0, 150.0, 160.0, 155.0, 170.0, 150.0, 180.0, 160.0])
+        rows, cols = footprint_window(stroke.vector, 40, 40)
+        assert rows.start >= rows.stop and cols.start >= cols.stop
+        got = compose_over(base, stroke)
+        assert got is not base and got.pixels is not base.pixels
+        np.testing.assert_array_equal(got.pixels, base.pixels)
+        assert np.abs(full_canvas_compose(base, stroke) - got.pixels).max() <= TAIL
+
+    def test_bad_softness_is_rejected_even_off_canvas(self):
+        stroke = self.make([150.0, 150.0, 160.0, 155.0, 170.0, 150.0, 180.0, 160.0])
+        with pytest.raises(ConfigError):
+            compose_over(Canvas.white(8), stroke, softness=0.0)
+
+
+def test_fit_of_a_gate_09_target_is_unchanged():
+    _, canvas, _ = generate_visible_stroke(np.random.default_rng(900), 32)
+    result = fit_stroke(canvas)
+    expected = [
+        "0x1.40affbf53ed84p+4", "0x1.bac73e497f530p+4", "0x1.a4473e61e8a80p+1",
+        "0x1.0c21fe826d09cp+4", "0x1.2770c476cad19p+3", "0x1.1d38ee46e9d70p+4",
+        "0x1.a822928b71a76p+4", "0x1.1d3d67710afccp+3", "0x1.61c69b390b2d6p+7",
+        "0x1.7b49446c96813p+4", "0x1.64f6570c161cap+5", "0x1.0000000000000p+0",
+        "0x1.7b8b237d2f9a0p+2",
+    ]
+    assert [float(v).hex() for v in result.stroke.vector] == expected
+    assert float(result.loss).hex() == "0x1.1a562379669f2p-15"
