@@ -119,8 +119,6 @@ def _list_pixmaps(directory: Path) -> list[Path]:
 
 
 def run_gen_data(config: dict) -> RunManifest:
-    if config["count"] < 1:
-        raise ConfigError(f"need at least one stroke, got --count {config['count']}")
     side = config["canvas_size"]
     if side * side < MIN_CORE_PIXELS:
         raise ConfigError(f"a {side}x{side} canvas cannot hold the {MIN_CORE_PIXELS}-pixel "
@@ -237,8 +235,7 @@ def run_sample(config: dict) -> RunManifest:
 def run_fit_stroke(config: dict) -> RunManifest:
     out = _out_dir(config)
     target = read_pixmap(config["target"])
-    result = fit_stroke(target, iterations=config["iterations"],
-                        rng=np.random.default_rng(config["seed"]))
+    result = fit_stroke(target, iterations=config["iterations"])
     save_strokes(out / "fitted.json", [result.stroke])
     render, _ = rasterize_stroke(result.stroke, (target.height, target.width),
                                  channels=target.channels)
@@ -335,12 +332,15 @@ def run_replay(config: dict) -> RunManifest:
     manifest = RunManifest.load(config["manifest"])
     if manifest.command not in RUNNERS:
         raise DataIOError(f"manifest names unknown command {manifest.command!r}")
-    replayed = dict(manifest.config)
+    keys = _config_keys(manifest.command)
+    # Keys of flags since removed (sample's eta_mode and prior_mode) are dropped.
+    replayed = {k: v for k, v in manifest.config.items() if k in keys}
     if config["out"] is not None:
         replayed["out"] = config["out"]
-    missing = sorted(_config_keys(manifest.command) - replayed.keys())
+    missing = sorted(keys - replayed.keys())
     if missing:
         raise DataIOError(f"manifest config for {manifest.command} lacks {', '.join(missing)}")
+    _check_minimums(manifest.command, replayed)
     return RUNNERS[manifest.command](replayed)
 
 
@@ -349,6 +349,28 @@ def _config_keys(command: str) -> set[str]:
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
     return {a.dest for a in commands.choices[command]._actions if a.dest != "help"}
+
+
+# Smallest accepted value of each count, size, epoch, step and layer flag.
+MINIMUMS = {
+    "gen-data": {"count": 1, "canvas_size": 1},
+    "verify-math": {"steps": 1, "mc_draws": 1},
+    "train-diffusion": {"steps": 1, "prior_pairs": 1, "epochs": 1, "batch_size": 1},
+    "sample": {"count": 1, "canvas_size": 1, "steps": 1},
+    "fit-stroke": {"iterations": 1},
+    "train-predictor": {"canvas_size": 1, "min_strokes": 1, "max_strokes": 1, "slots": 1,
+                        "epochs": 1, "scenes_per_epoch": 1, "holdout_scenes": 0},
+    "paint": {"layers": 1},
+}
+
+
+def _check_minimums(command: str, config: dict) -> None:
+    """Reject out-of-range counts before a command writes anything."""
+    for key, least in MINIMUMS.get(command, {}).items():
+        value = config[key]
+        if not isinstance(value, int) or value < least:
+            flag = "--" + key.replace("_", "-")
+            raise ConfigError(f"{flag} must be an integer of at least {least}, got {value!r}")
 
 
 RUNNERS = {
@@ -418,10 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canvas-size", type=int, required=True)
     p.add_argument("--steps", type=int, default=64)
     p.add_argument("--schedule", choices=SCHEDULE_MODES, default="scaled_linear")
-    p.add_argument("--eta-mode", choices=ETA_MODES, default="eta_uniform",
-                   help="recorded for the manifest; inference runs with the prior off")
-    p.add_argument("--prior-mode", choices=PRIOR_MODES, default="stochastic",
-                   help="recorded for the manifest; inference runs with the prior off")
     p.add_argument("--no-noise", action="store_true", help="deterministic reverse steps")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -429,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-stroke", help="recover stroke parameters from one image")
     p.add_argument("--target", required=True)
     p.add_argument("--iterations", type=int, default=FIT_ITERATIONS)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="recorded for the manifest only; fitting is deterministic")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train-predictor", help="train the stroke predictor on synthetic scenes")
@@ -477,6 +496,7 @@ def main(argv=None) -> int:
         config["lambda_m"] = list(config["lambda_m"])
     runner = run_replay if command == "replay" else RUNNERS[command]
     try:
+        _check_minimums(command, config)
         runner(config)
     except StrokecraftError as exc:
         print(f"error: {exc}", file=sys.stderr)

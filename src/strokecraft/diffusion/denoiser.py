@@ -1,8 +1,8 @@
 """Step-conditioned regression net that predicts the training target τ.
 
-A plain tanh MLP over [flattened state, sinusoidal step features, optional
-condition vector].  Weights are one flat float64 vector; gradients come from
-hand-written backprop so they can be cross-checked against finite differences.
+A plain tanh MLP over [flattened state, sinusoidal step features].  Weights
+are one flat float64 vector; gradients come from hand-written backprop so
+they can be cross-checked against finite differences.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from ..errors import ConfigError
 
 DEFAULT_TIME_DIM = 16
 DEFAULT_HIDDEN = (128, 128)
+ARCH_KEYS = ("data_dim", "hidden", "time_dim")
 
 
 def time_embedding(t, dim: int) -> np.ndarray:
@@ -28,14 +29,13 @@ def time_embedding(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
-def _layer_dims(arch: dict) -> list[tuple[int, int]]:
-    in_dim = arch["data_dim"] + arch["time_dim"] + arch["cond_dim"]
-    widths = [in_dim, *arch["hidden"], arch["data_dim"]]
-    return list(zip(widths[:-1], widths[1:]))
-
-
-def param_count(arch: dict) -> int:
-    return sum(nin * nout + nout for nin, nout in _layer_dims(arch))
+def _param_shapes(arch: dict) -> list[tuple[int, ...]]:
+    """Weight (in, out) and bias (out,) of each layer, input to output."""
+    widths = [arch["data_dim"] + arch["time_dim"], *arch["hidden"], arch["data_dim"]]
+    shapes = []
+    for nin, nout in zip(widths[:-1], widths[1:]):
+        shapes += [(nin, nout), (nout,)]
+    return shapes
 
 
 @dataclass
@@ -51,7 +51,6 @@ class Denoiser:
         data_dim: int,
         hidden: tuple[int, ...] = DEFAULT_HIDDEN,
         time_dim: int = DEFAULT_TIME_DIM,
-        cond_dim: int = 0,
         rng: np.random.Generator | None = None,
     ) -> "Denoiser":
         if rng is None:
@@ -61,68 +60,41 @@ class Denoiser:
             "data_dim": int(data_dim),
             "hidden": [int(h) for h in hidden],
             "time_dim": int(time_dim),
-            "cond_dim": int(cond_dim),
         }
-        params = np.empty(param_count(arch))
-        offset = 0
-        for nin, nout in _layer_dims(arch):
-            lim = nn.glorot_limit(nin, nout)
-            params[offset : offset + nin * nout] = rng.uniform(-lim, lim, nin * nout)
-            offset += nin * nout
-            params[offset : offset + nout] = 0.0
-            offset += nout
-        return cls(arch=arch, params=params)
+        return cls(arch=arch, params=nn.init_params(_param_shapes(arch), rng))
 
-    def _views(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        views = []
-        offset = 0
-        for nin, nout in _layer_dims(self.arch):
-            w = self.params[offset : offset + nin * nout].reshape(nin, nout)
-            offset += nin * nout
-            b = self.params[offset : offset + nout]
-            offset += nout
-            views.append((w, b))
-        return views
+    def _layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        views = nn.param_views(self.params, _param_shapes(self.arch))
+        return list(zip(views[0::2], views[1::2]))
 
-    def _features(self, x: np.ndarray, t, cond: np.ndarray | None) -> np.ndarray:
+    def _features(self, x: np.ndarray, t) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.arch["data_dim"]:
             raise ConfigError(
                 f"state dim {x.shape[1]} != architecture data_dim {self.arch['data_dim']}"
             )
         t_vec = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
-        feats = [x, time_embedding(t_vec, self.arch["time_dim"])]
-        if self.arch["cond_dim"]:
-            if cond is None:
-                raise ConfigError("this denoiser expects a condition vector")
-            cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-            cond = np.broadcast_to(cond, (x.shape[0], self.arch["cond_dim"]))
-            feats.append(cond)
-        elif cond is not None:
-            raise ConfigError("this denoiser was built without a condition input")
-        return np.concatenate(feats, axis=1)
+        return np.concatenate([x, time_embedding(t_vec, self.arch["time_dim"])], axis=1)
 
-    def predict(self, x: np.ndarray, t, cond: np.ndarray | None = None) -> np.ndarray:
+    def predict(self, x: np.ndarray, t) -> np.ndarray:
         """τ estimate for a batch of flattened states, shape (B, data_dim)."""
-        out, _ = self._forward(self._features(x, t, cond))
+        out, _ = self._forward(self._features(x, t))
         return out
 
     def _forward(self, feats: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        views = self._views()
+        layers = self._layers()
         acts = [feats]
         h = feats
-        for i, (w, b) in enumerate(views):
+        for i, (w, b) in enumerate(layers):
             h = nn.linear_forward(h, w, b)
-            if i < len(views) - 1:
+            if i < len(layers) - 1:
                 h = nn.tanh(h)
             acts.append(h)
         return h, acts
 
-    def loss_and_grad(
-        self, x: np.ndarray, t, target: np.ndarray, cond: np.ndarray | None = None
-    ) -> tuple[float, np.ndarray]:
+    def loss_and_grad(self, x: np.ndarray, t, target: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean squared error against τ targets and its gradient in θ."""
-        feats = self._features(x, t, cond)
+        feats = self._features(x, t)
         target = np.atleast_2d(np.asarray(target, dtype=np.float64))
         out, acts = self._forward(feats)
         if out.shape != target.shape:
@@ -130,35 +102,21 @@ class Denoiser:
         diff = out - target
         loss = float(np.mean(diff * diff))
 
-        views = self._views()
-        grad = np.zeros_like(self.params)
-        offset_ends = []
-        offset = 0
-        for nin, nout in _layer_dims(self.arch):
-            offset += nin * nout + nout
-            offset_ends.append(offset)
-
+        layers = self._layers()
+        grads = []
         grad_h = 2.0 * diff / diff.size
-        for i in range(len(views) - 1, -1, -1):
-            w, _ = views[i]
-            x_in = acts[i]
-            grad_x, grad_w, grad_b = nn.linear_backward(x_in, w, grad_h)
-            end = offset_ends[i]
-            grad[end - grad_b.size : end] = grad_b
-            grad[end - grad_b.size - grad_w.size : end - grad_b.size] = grad_w.ravel()
+        for i in range(len(layers) - 1, -1, -1):
+            w, _ = layers[i]
+            grad_x, grad_w, grad_b = nn.linear_backward(acts[i], w, grad_h)
+            grads[:0] = [grad_w, grad_b]
             if i > 0:
                 grad_h = grad_x * nn.dtanh(acts[i])
-        return loss, grad
+        return loss, np.concatenate([g.ravel() for g in grads])
 
     def save(self, path) -> None:
         nn.save_checkpoint(path, self.arch, self.params)
 
     @classmethod
     def load(cls, path) -> "Denoiser":
-        header, params = nn.load_checkpoint(path)
-        if header.get("kind") != "tau_mlp":
-            raise ConfigError(f"checkpoint at {path} holds a {header.get('kind')!r}, not a tau_mlp")
-        arch = {k: header[k] for k in ("kind", "data_dim", "hidden", "time_dim", "cond_dim")}
-        if params.size != param_count(arch):
-            raise ConfigError("checkpoint weight count does not match its architecture")
+        arch, params = nn.load_model(path, "tau_mlp", ARCH_KEYS, _param_shapes)
         return cls(arch=arch, params=params)

@@ -24,16 +24,15 @@ def ancestral_sample(
     data_dim: int,
     rng: np.random.Generator,
     inject_noise: bool = True,
-    cond: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw ``count`` samples of dimension ``data_dim``, shape (count, data_dim).
 
-    ``model`` needs a ``predict(x, t, cond=None) -> (B, D)`` method.  Raises
+    ``model`` needs a ``predict(x, t) -> (B, D)`` method.  Raises
     on the first non-finite state, naming the offending step.
     """
     x = rng.standard_normal((count, data_dim))
     for t in range(schedule.num_steps - 1, 0, -1):
-        tau_hat = model.predict(x, t, cond)
+        tau_hat = model.predict(x, t)
         x = ddpm_posterior_mean_simplified(x, tau_hat, t, schedule)
         if inject_noise:
             alpha = schedule.alphas[t]
@@ -43,7 +42,7 @@ def ancestral_sample(
             x = x + sigma * rng.standard_normal(x.shape)
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite sampler state after step {t}")
-    tau_hat = model.predict(x, 0, cond)
+    tau_hat = model.predict(x, 0)
     x = recover_x0(x, tau_hat, 0, schedule)
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite sampler output at step 0")

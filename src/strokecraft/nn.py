@@ -2,8 +2,9 @@
 
 All trainable weights live in one contiguous float64 vector so optimizers,
 checkpoints, and finite-difference checks can treat a model as a plain point
-in R^n.  Layers are functional: forward returns whatever the matching
-backward needs.
+in R^n.  A model describes its layout as a list of tensor shapes; the
+vector holds those tensors back to back, in that order.  Layers are
+functional: forward returns whatever the matching backward needs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataIOError
+from .errors import ConfigError, DataIOError
 
 CHECKPOINT_MAGIC_KEY = "format"
 CHECKPOINT_FORMAT = "flat-f64-v1"
@@ -21,6 +22,38 @@ CHECKPOINT_FORMAT = "flat-f64-v1"
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
+
+
+def _sizes(shapes) -> list[int]:
+    return [int(np.prod(shape)) for shape in shapes]
+
+
+def init_params(shapes, rng: np.random.Generator) -> np.ndarray:
+    """Flat vector for ``shapes``: Glorot-uniform weights, zero biases.
+
+    Draws happen in shape order, one per weight tensor.  A 1-D shape is a
+    bias.  A 2-D shape is an (in, out) matrix; a 4-D shape is an
+    (out, in, kh, kw) kernel whose fans include the kernel area.
+    """
+    sizes = _sizes(shapes)
+    params = np.zeros(sum(sizes))
+    offset = 0
+    for shape, size in zip(shapes, sizes):
+        if len(shape) > 1:
+            area = int(np.prod(shape[2:]))
+            fan_in, fan_out = (shape[1] * area, shape[0] * area) if len(shape) == 4 else shape
+            lim = glorot_limit(fan_in, fan_out)
+            params[offset : offset + size] = rng.uniform(-lim, lim, size)
+        offset += size
+    return params
+
+
+def param_views(params: np.ndarray, shapes) -> list[np.ndarray]:
+    """Reshaped views into ``params``, one per shape, in order."""
+    sizes = _sizes(shapes)
+    ends = np.cumsum(sizes)
+    return [params[end - size : end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, ends)]
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -176,3 +209,22 @@ def load_checkpoint(path) -> tuple[dict, np.ndarray]:
             f"checkpoint {path} holds {params.size} weights, header promises {expected}"
         )
     return header, params
+
+
+def load_model(path, kind: str, keys: tuple[str, ...], shapes) -> tuple[dict, np.ndarray]:
+    """Architecture and weights of a ``kind`` checkpoint.
+
+    The architecture is ``kind`` plus ``keys`` read from the header; other
+    header keys are ignored.  ``shapes`` maps the architecture to its
+    parameter shapes, whose total size the weights must match.
+    """
+    header, params = load_checkpoint(path)
+    if header.get("kind") != kind:
+        raise ConfigError(f"checkpoint at {path} holds a {header.get('kind')!r}, not a {kind}")
+    missing = [k for k in keys if k not in header]
+    if missing:
+        raise DataIOError(f"checkpoint {path} lacks architecture keys {', '.join(missing)}")
+    arch = {"kind": kind, **{k: header[k] for k in keys}}
+    if params.size != sum(_sizes(shapes(arch))):
+        raise ConfigError("checkpoint weight count does not match its architecture")
+    return arch, params

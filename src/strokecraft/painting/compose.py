@@ -10,7 +10,7 @@ from ..errors import ConfigError
 from ..metrics import mse
 from ..strokes.canvas import Canvas
 from ..strokes.model import BezierStroke
-from ..strokes.raster import DEFAULT_SAMPLES, DEFAULT_SOFTNESS, compose_over, stroke_alpha
+from ..strokes.raster import DEFAULT_SAMPLES, DEFAULT_SOFTNESS, compose_over
 from .losses import StrokePrediction
 from .predictor import StrokePredictor, predict_strokes
 
@@ -67,39 +67,6 @@ def composite(base: Canvas, placed: list[PlacedStroke], *, threshold: float = 0.
     for item in order_strokes(placed, threshold):
         out = compose_over(out, item.stroke, samples, softness)
     return out
-
-
-def compose_textured(base: Canvas, stroke: BezierStroke, texture: Canvas,
-                     samples: int = DEFAULT_SAMPLES,
-                     softness: float = DEFAULT_SOFTNESS) -> Canvas:
-    """Composite one stroke whose color is a texture warped onto its extent.
-
-    Coverage comes from the stroke geometry as usual, but instead of the
-    flat stroke color each pixel samples the texture stretched over the
-    coverage bounding box (nearest neighbor, edge-clamped outside it).
-    Lets a generated image stand in for a stroke's appearance.
-    """
-    if texture.channels != base.channels:
-        raise ConfigError(
-            f"texture has {texture.channels} channels, canvas has {base.channels}"
-        )
-    alpha = stroke_alpha(stroke, (base.height, base.width), samples, softness)
-    core = alpha >= 0.5 * stroke.opacity
-    if not core.any():
-        core = alpha >= 0.5 * alpha.max()
-    rows = np.flatnonzero(core.any(axis=1))
-    cols = np.flatnonzero(core.any(axis=0))
-    y0, y1 = int(rows[0]), int(rows[-1])
-    x0, x1 = int(cols[0]), int(cols[-1])
-    ys = np.arange(base.height, dtype=np.float64)
-    xs = np.arange(base.width, dtype=np.float64)
-    v = np.clip((ys - y0) / max(y1 - y0, 1), 0.0, 1.0)
-    u = np.clip((xs - x0) / max(x1 - x0, 1), 0.0, 1.0)
-    tex_rows = np.rint(v * (texture.height - 1)).astype(int)
-    tex_cols = np.rint(u * (texture.width - 1)).astype(int)
-    warped = texture.pixels[np.ix_(tex_rows, tex_cols)]
-    out = alpha[:, :, None] * warped + (1.0 - alpha[:, :, None]) * base.pixels
-    return Canvas(out)
 
 
 def place_predictions(predictions: list[StrokePrediction], patch_side: float,

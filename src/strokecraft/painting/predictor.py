@@ -22,6 +22,10 @@ DEFAULT_INPUT_SIDE = 32
 DEFAULT_CONV_CHANNELS = (8, 16)
 DEFAULT_HIDDEN = 128
 OUT_PER_STROKE = PARAM_COUNT + 4
+ARCH_KEYS = ("input_side", "canvas_channels", "conv_channels", "fc_hidden", "max_strokes")
+# The sigmoid rounds to exactly 0 or 1 for large logits; a rank score must
+# lie strictly inside (0, 1).
+_SCORE_RANGE = (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
 def _param_shapes(arch: dict) -> list[tuple[int, ...]]:
@@ -36,10 +40,6 @@ def _param_shapes(arch: dict) -> list[tuple[int, ...]]:
         (flat, arch["fc_hidden"]), (arch["fc_hidden"],),
         (arch["fc_hidden"], out), (out,),
     ]
-
-
-def param_count(arch: dict) -> int:
-    return sum(int(np.prod(shape)) for shape in _param_shapes(arch))
 
 
 def _p_minus_affine(side: float) -> tuple[np.ndarray, np.ndarray]:
@@ -81,31 +81,10 @@ class StrokePredictor:
             "fc_hidden": int(fc_hidden),
             "max_strokes": int(max_strokes),
         }
-        params = np.empty(param_count(arch))
-        offset = 0
-        for shape in _param_shapes(arch):
-            size = int(np.prod(shape))
-            if len(shape) == 1:
-                params[offset : offset + size] = 0.0
-            else:
-                if len(shape) == 4:
-                    fan_in = shape[1] * shape[2] * shape[3]
-                    fan_out = shape[0] * shape[2] * shape[3]
-                else:
-                    fan_in, fan_out = shape
-                lim = nn.glorot_limit(fan_in, fan_out)
-                params[offset : offset + size] = rng.uniform(-lim, lim, size)
-            offset += size
-        return cls(arch=arch, params=params)
+        return cls(arch=arch, params=nn.init_params(_param_shapes(arch), rng))
 
     def _views(self) -> list[np.ndarray]:
-        views = []
-        offset = 0
-        for shape in _param_shapes(self.arch):
-            size = int(np.prod(shape))
-            views.append(self.params[offset : offset + size].reshape(shape))
-            offset += size
-        return views
+        return nn.param_views(self.params, _param_shapes(self.arch))
 
     def _stack(self, current: Canvas, target: Canvas) -> np.ndarray:
         side = self.arch["input_side"]
@@ -153,13 +132,7 @@ class StrokePredictor:
 
     @classmethod
     def load(cls, path) -> "StrokePredictor":
-        header, params = nn.load_checkpoint(path)
-        if header.get("kind") != "stroke_conv":
-            raise ConfigError(f"checkpoint at {path} holds a {header.get('kind')!r}, not a stroke_conv")
-        arch = {k: header[k] for k in ("kind", "input_side", "canvas_channels",
-                                       "conv_channels", "fc_hidden", "max_strokes")}
-        if params.size != param_count(arch):
-            raise ConfigError("checkpoint weight count does not match its architecture")
+        arch, params = nn.load_model(path, "stroke_conv", ARCH_KEYS, _param_shapes)
         return cls(arch=arch, params=params)
 
 
@@ -179,7 +152,7 @@ def predict_strokes(predictor: StrokePredictor, current: Canvas, target: Canvas,
             params=ranges.denormalize(row[:PARAM_COUNT]),
             x_shift=float(row[PARAM_COUNT]),
             y_shift=float(row[PARAM_COUNT + 1]),
-            scr_r=float(row[PARAM_COUNT + 2]),
+            scr_r=float(np.clip(row[PARAM_COUNT + 2], *_SCORE_RANGE)),
             d=float(row[PARAM_COUNT + 3]),
         )
         for row in u
@@ -228,64 +201,3 @@ def loss_and_grad(predictor: StrokePredictor, current: Canvas, target: Canvas,
     """
     _, cache, loss, grad_u, assignment = forward_loss(predictor, current, target, gts, cfg)
     return loss, predictor._backward(grad_u, cache), assignment
-
-
-@dataclass
-class ConditionProjector:
-    """Linear map sending the concatenated [stroke parameters; context] to an embedding."""
-
-    weight: np.ndarray
-
-    def __post_init__(self) -> None:
-        weight = np.asarray(self.weight, dtype=np.float64)
-        if weight.ndim != 2 or weight.shape[1] <= PARAM_COUNT:
-            raise ConfigError(
-                f"projector weight must be (embed, {PARAM_COUNT}+context), got {weight.shape}"
-            )
-        self.weight = weight
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, embed_dim: int,
-               context_dim: int) -> "ConditionProjector":
-        if embed_dim < 1 or context_dim < 1:
-            raise ConfigError("embedding and context dimensions must be positive")
-        lim = nn.glorot_limit(PARAM_COUNT + context_dim, embed_dim)
-        return cls(rng.uniform(-lim, lim, (embed_dim, PARAM_COUNT + context_dim)))
-
-    @property
-    def embed_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def context_dim(self) -> int:
-        return self.weight.shape[1] - PARAM_COUNT
-
-    def project(self, stroke_params: np.ndarray, context: np.ndarray) -> np.ndarray:
-        """Embedding of one (or a batch of) parameter/context concatenations."""
-        stroke_params = np.atleast_2d(np.asarray(stroke_params, dtype=np.float64))
-        context = np.atleast_2d(np.asarray(context, dtype=np.float64))
-        if stroke_params.shape[1] != PARAM_COUNT:
-            raise ConfigError(f"expected {PARAM_COUNT} stroke parameters, got {stroke_params.shape}")
-        if context.shape[1] != self.context_dim:
-            raise ConfigError(f"expected context dim {self.context_dim}, got {context.shape}")
-        if stroke_params.shape[0] != context.shape[0]:
-            raise ConfigError("stroke parameter and context batches differ in length")
-        out = np.concatenate([stroke_params, context], axis=1) @ self.weight.T
-        return out[0] if out.shape[0] == 1 else out
-
-    def save(self, path) -> None:
-        arch = {"kind": "condition_projector", "embed_dim": self.embed_dim,
-                "context_dim": self.context_dim}
-        nn.save_checkpoint(path, arch, self.weight.ravel())
-
-    @classmethod
-    def load(cls, path) -> "ConditionProjector":
-        header, params = nn.load_checkpoint(path)
-        if header.get("kind") != "condition_projector":
-            raise ConfigError(
-                f"checkpoint at {path} holds a {header.get('kind')!r}, not a condition_projector"
-            )
-        shape = (header["embed_dim"], PARAM_COUNT + header["context_dim"])
-        if params.size != shape[0] * shape[1]:
-            raise ConfigError("checkpoint weight count does not match its architecture")
-        return cls(params.reshape(shape))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..metrics import background_value, luminance
+from ..metrics import LUMA_WEIGHTS, background_value, luminance
 from .canvas import Canvas
 from .model import PARAM_COUNT, BezierStroke, ParamRanges, max_opacity_equivalent
 from .raster import DEFAULT_SOFTNESS, coverage_batch
@@ -63,7 +63,7 @@ def _batch_loss(zs, ranges, target, samples, softness):
         diff = rendered - target.transpose(2, 0, 1)[None]
     else:
         flat = target if target.ndim == 2 else target[..., 0]
-        luma = vectors[:, 8:11] @ np.array([0.299, 0.587, 0.114]) / 255.0
+        luma = vectors[:, 8:11] @ LUMA_WEIGHTS / 255.0
         rendered = 1.0 + cov * (luma[:, None, None] - 1.0)
         diff = (rendered - flat[None])[:, None]
     return np.mean(diff * diff, axis=(1, 2, 3))
@@ -193,7 +193,7 @@ def _descend(z, grad_ranges, grad_target, ranges, target, grad_softness, final_s
     return z, best, best_z
 
 
-def fit_stroke(target: Canvas, *, iterations: int = FIT_ITERATIONS, rng=None,
+def fit_stroke(target: Canvas, *, iterations: int = FIT_ITERATIONS,
                samples: int = FIT_SAMPLES, softness: float = DEFAULT_SOFTNESS,
                foreground_threshold: float = 0.1,
                init: BezierStroke | None = None) -> FitResult:
@@ -204,8 +204,7 @@ def fit_stroke(target: Canvas, *, iterations: int = FIT_ITERATIONS, rng=None,
     grid, while acceptance always scores the full-resolution render at
     the requested softness. A geodesic spine start is tried first and a
     straight-chord start serves as fallback when the first stall is
-    above tolerance. ``rng`` is accepted for interface stability; the
-    optimizer is deterministic.
+    above tolerance. The optimizer is deterministic.
 
     A warm start passed as ``init`` is mapped to its opacity-1
     equivalent (same rendering) and its loss seeds the best-so-far

@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from strokecraft import nn
 from strokecraft.cli import flip_stroke_x, flip_stroke_y, main, rotate_stroke_ccw
 from strokecraft.manifest import RunManifest
 from strokecraft.metrics import connected_regions, mse
 from strokecraft.painting import StrokePredictor, layered_paint
 from strokecraft.pixmap import quantize, read_pixmap
 from strokecraft.strokes.generate import generate_visible_stroke
-from strokecraft.strokes.model import load_strokes
+from strokecraft.strokes.model import PARAM_COUNT, load_strokes
 from strokecraft.strokes.raster import rasterize_stroke
 
 
@@ -27,6 +28,20 @@ def read_csv(path):
 
 def file_bytes(directory, names):
     return {name: (directory / name).read_bytes() for name in names}
+
+
+def src_env():
+    """Environment for a child interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def drop_header_key(source, dest, key):
+    """Copy a checkpoint with one architecture key removed from its header."""
+    header, params = nn.load_checkpoint(source)
+    del header[key]
+    nn.save_checkpoint(dest, header, params)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +194,14 @@ class TestTrainDiffusionAndSample:
                      "--canvas-size", "7", "--steps", "16", "--seed", "3",
                      "--out", str(tmp_path / "bad")]) == 2
 
+    def test_checkpoint_missing_an_architecture_key_is_an_io_error(self, workspace, tmp_path,
+                                                                   capsys):
+        drop_header_key(workspace / "dtrain" / "denoiser.ckpt", tmp_path / "d.ckpt", "time_dim")
+        assert main(["sample", "--checkpoint", str(tmp_path / "d.ckpt"),
+                     "--canvas-size", "16", "--steps", "16", "--seed", "3",
+                     "--out", str(tmp_path / "bad")]) == 3
+        assert "time_dim" in capsys.readouterr().err
+
 
 class TestFitStroke:
     def test_outputs_and_quality(self, workspace, tmp_path):
@@ -224,6 +247,36 @@ class TestTrainPredictorAndPaint:
             assert entry["patch"] == [placed.patch_row, placed.patch_col]
         intermediates = sorted(out.glob("layer_*.ppm"))
         assert len(intermediates) == 2
+
+    @pytest.mark.parametrize("rank_logit", [40.0, -800.0])
+    def test_saturated_rank_score_still_paints(self, workspace, tmp_path, rank_logit):
+        # slot 0 gets a rank logit the sigmoid rounds to exactly 1 or 0,
+        # and a presence logit that keeps it in every patch
+        predictor = StrokePredictor.load(workspace / "ptrain" / "predictor.ckpt")
+        w4, b4 = predictor._views()[6:]
+        for column, logit in ((PARAM_COUNT + 2, rank_logit), (PARAM_COUNT + 3, 40.0)):
+            w4[:, column] = 0.0
+            b4[column] = logit
+        predictor.save(tmp_path / "saturated.ckpt")
+        out = tmp_path / "painted"
+        assert main(["paint", "--target", str(workspace / "data" / "stroke_000.ppm"),
+                     "--predictor", str(tmp_path / "saturated.ckpt"),
+                     "--layers", "2", "--out", str(out)]) == 0
+        listing = json.loads((out / "strokes.json").read_text())
+        clamped = np.nextafter(1.0, 0.0) if rank_logit > 0 else np.nextafter(0.0, 1.0)
+        assert clamped in [entry["scr_r"] for entry in listing]
+        for layer in (0, 1):
+            scores = [entry["scr_r"] for entry in listing if entry["layer"] == layer]
+            assert scores == sorted(scores)
+
+    def test_checkpoint_missing_an_architecture_key_is_an_io_error(self, workspace, tmp_path,
+                                                                   capsys):
+        drop_header_key(workspace / "ptrain" / "predictor.ckpt", tmp_path / "p.ckpt",
+                        "fc_hidden")
+        assert main(["paint", "--target", str(workspace / "data" / "stroke_000.ppm"),
+                     "--predictor", str(tmp_path / "p.ckpt"),
+                     "--out", str(tmp_path / "bad")]) == 3
+        assert "fc_hidden" in capsys.readouterr().err
 
 
 class TestMetrics:
@@ -271,6 +324,54 @@ class TestReplay:
                      "--out", str(second)]) == 0
         assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv, names", [
+        (["sample", "--checkpoint", "{ws}/dtrain/denoiser.ckpt", "--count", "2",
+          "--canvas-size", "16", "--steps", "16", "--seed", "3"],
+         ["sample_000.pgm", "sample_001.pgm"]),
+        (["fit-stroke", "--target", "{ws}/data/stroke_000.ppm", "--iterations", "40",
+          "--seed", "4"], ["fitted.json", "render.ppm"]),
+        (["paint", "--target", "{ws}/data/stroke_000.ppm",
+          "--predictor", "{ws}/ptrain/predictor.ckpt", "--layers", "2"],
+         ["final.ppm", "layer_00.ppm", "layer_01.ppm", "strokes.json"]),
+    ], ids=["sample", "fit-stroke", "paint"])
+    def test_replay_is_byte_identical(self, workspace, tmp_path, argv, names):
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = [a.format(ws=workspace) for a in argv]
+        assert main(argv + ["--out", str(first)]) == 0
+        assert main(["replay", "--manifest", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        assert file_bytes(second, names) == file_bytes(first, names)
+
+    def test_train_predictor_replay_is_byte_identical(self, workspace, tmp_path):
+        assert main(["replay", "--manifest", str(workspace / "ptrain" / "manifest.json"),
+                     "--out", str(tmp_path / "again")]) == 0
+        names = ["predictor.ckpt", "loss_history.csv", "rank_error.csv"]
+        assert file_bytes(tmp_path / "again", names) == file_bytes(workspace / "ptrain", names)
+
+    def test_sample_manifest_with_removed_flags_replays(self, workspace, tmp_path):
+        first = tmp_path / "first"
+        assert main(["sample", "--checkpoint", str(workspace / "dtrain" / "denoiser.ckpt"),
+                     "--count", "2", "--canvas-size", "16", "--steps", "16", "--seed", "5",
+                     "--out", str(first)]) == 0
+        manifest = RunManifest.load(first / "manifest.json")
+        legacy = dict(manifest.config, eta_mode="eta_uniform", prior_mode="stochastic")
+        RunManifest(command="sample", config=legacy, seed=manifest.seed,
+                    inputs=manifest.inputs, outputs=manifest.outputs).save(tmp_path / "m.json")
+        assert main(["replay", "--manifest", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "again")]) == 0
+        names = ["sample_000.pgm", "sample_001.pgm"]
+        assert file_bytes(tmp_path / "again", names) == file_bytes(first, names)
+        replayed = RunManifest.load(tmp_path / "again" / "manifest.json")
+        assert replayed.config == dict(manifest.config, out=str(tmp_path / "again"))
+
+    def test_out_of_range_count_is_a_config_error(self, workspace, tmp_path):
+        manifest = RunManifest.load(workspace / "ptrain" / "manifest.json")
+        RunManifest(command="train-predictor", config=dict(manifest.config, holdout_scenes=-1),
+                    seed=manifest.seed).save(tmp_path / "m.json")
+        assert main(["replay", "--manifest", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "again")]) == 2
+        assert not (tmp_path / "again").exists()
+
     def test_malformed_manifest_is_an_io_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{oops")
@@ -302,12 +403,31 @@ class TestReplay:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, strokecraft.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-diffusion", "--data", "d", "--epochs", "0", "--seed", "1"],
+    ["train-diffusion", "--data", "d", "--epochs", "1", "--batch-size", "0", "--seed", "1"],
+    ["sample", "--checkpoint", "c", "--count", "-2", "--canvas-size", "16", "--seed", "1"],
+    ["sample", "--checkpoint", "c", "--count", "0", "--canvas-size", "16", "--seed", "1"],
+    ["sample", "--checkpoint", "c", "--canvas-size", "0", "--seed", "1"],
+    ["verify-math", "--mc-draws", "0", "--seed", "1"],
+    ["train-predictor", "--epochs", "1", "--holdout-scenes", "-1", "--seed", "1"],
+    ["paint", "--target", "t", "--predictor", "p", "--layers", "0"],
+], ids=["epochs", "batch-size", "negative-count", "zero-count", "canvas-size", "mc-draws",
+        "holdout-scenes", "layers"])
+def test_out_of_range_flag_exits_two_before_writing(tmp_path, argv):
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "strokecraft.cli", *argv, "--out", str(out)],
+                          env=src_env(), capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "must be an integer of at least" in done.stderr
+    assert not out.exists()
 
 
 class TestParser:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from strokecraft import nn
 from strokecraft.diffusion import (
     Denoiser,
     SmrConfig,
@@ -66,19 +67,6 @@ class TestDenoiserForward:
         with pytest.raises(ConfigError):
             net.predict(np.zeros((2, 7)), 0)
 
-    def test_condition_wiring(self):
-        rng = np.random.default_rng(3)
-        net = Denoiser.create(6, hidden=(8,), cond_dim=4, rng=rng)
-        x = rng.standard_normal((2, 6))
-        a = net.predict(x, 1, cond=np.zeros(4))
-        b = net.predict(x, 1, cond=rng.standard_normal(4))
-        assert not np.allclose(a, b)
-        with pytest.raises(ConfigError):
-            net.predict(x, 1)
-        plain = Denoiser.create(6, hidden=(8,), rng=rng)
-        with pytest.raises(ConfigError):
-            plain.predict(x, 1, cond=np.zeros(4))
-
 
 class TestTrainingLoss:
     def test_zero_output_scores_mean_squared_target(self):
@@ -135,10 +123,24 @@ class TestTrainingLoss:
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        net = Denoiser.create(10, hidden=(16, 8), cond_dim=2, rng=rng)
+        net = Denoiser.create(10, hidden=(16, 8), rng=rng)
         path = tmp_path / "net.ckpt"
         net.save(path)
         back = Denoiser.load(path)
+        assert back.arch == net.arch
+        assert np.array_equal(back.params, net.params)
+
+    def test_header_holds_only_the_architecture(self, tmp_path):
+        net = Denoiser.create(4, hidden=(8,), rng=np.random.default_rng(9))
+        net.save(tmp_path / "net.ckpt")
+        header, _ = nn.load_checkpoint(tmp_path / "net.ckpt")
+        assert sorted(header) == ["data_dim", "format", "hidden", "kind", "param_count",
+                                  "time_dim"]
+
+    def test_header_with_a_zero_cond_dim_still_loads(self, tmp_path):
+        net = Denoiser.create(4, hidden=(8,), rng=np.random.default_rng(10))
+        nn.save_checkpoint(tmp_path / "old.ckpt", dict(net.arch, cond_dim=0), net.params)
+        back = Denoiser.load(tmp_path / "old.ckpt")
         assert back.arch == net.arch
         assert np.array_equal(back.params, net.params)
 

@@ -8,12 +8,10 @@ import pytest
 
 from strokecraft.errors import ConfigError, NumericalError
 from strokecraft.painting import (
-    ConditionProjector,
     GroundTruthStroke,
     MatchConfig,
     StrokePrediction,
     StrokePredictor,
-    compose_textured,
     composite,
     cosine_distance,
     ground_truth_from_stroke,
@@ -44,7 +42,6 @@ from strokecraft.strokes import (
     ParamRanges,
     compose_over,
     generate_random_stroke,
-    stroke_alpha,
 )
 
 CFG = MatchConfig()
@@ -524,56 +521,6 @@ class TestPredictor:
         assert with_ghost == without
 
 
-class TestConditionProjector:
-    def test_projection_is_the_block_matrix_product(self):
-        rng = np.random.default_rng(14)
-        proj = ConditionProjector.create(rng, embed_dim=6, context_dim=4)
-        c_p = rng.normal(size=13)
-        ctx = rng.normal(size=4)
-        z = proj.project(c_p, ctx)
-        expected = proj.weight[:, :13] @ c_p + proj.weight[:, 13:] @ ctx
-        np.testing.assert_allclose(z, expected, atol=1e-12)
-        assert z.shape == (6,)
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(15)
-        proj = ConditionProjector.create(rng, embed_dim=5, context_dim=2)
-        c_p = rng.normal(size=(3, 13))
-        ctx = rng.normal(size=(3, 2))
-        batch = proj.project(c_p, ctx)
-        assert batch.shape == (3, 5)
-        for k in range(3):
-            np.testing.assert_allclose(batch[k], proj.project(c_p[k], ctx[k]))
-
-    def test_feeds_a_conditioned_denoiser(self):
-        rng = np.random.default_rng(16)
-        proj = ConditionProjector.create(rng, embed_dim=6, context_dim=4)
-        denoiser = Denoiser.create(4, hidden=(8,), cond_dim=proj.embed_dim, rng=rng)
-        z = proj.project(rng.normal(size=13), rng.normal(size=4))
-        out = denoiser.predict(rng.normal(size=(2, 4)), 3, cond=z)
-        assert out.shape == (2, 4)
-
-    def test_dimension_errors(self):
-        rng = np.random.default_rng(17)
-        proj = ConditionProjector.create(rng, embed_dim=4, context_dim=3)
-        with pytest.raises(ConfigError):
-            proj.project(np.zeros(12), np.zeros(3))
-        with pytest.raises(ConfigError):
-            proj.project(np.zeros(13), np.zeros(2))
-        with pytest.raises(ConfigError):
-            ConditionProjector.create(rng, embed_dim=0, context_dim=3)
-        with pytest.raises(ConfigError):
-            ConditionProjector(np.zeros((4, 13)))
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(18)
-        proj = ConditionProjector.create(rng, embed_dim=4, context_dim=3)
-        path = tmp_path / "projector.ckpt"
-        proj.save(path)
-        loaded = ConditionProjector.load(path)
-        np.testing.assert_array_equal(loaded.weight, proj.weight)
-
-
 class TestRealizeAndOrder:
     def test_realize_translates_by_shift_and_origin(self):
         params = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0,
@@ -651,46 +598,6 @@ class TestCompositing:
             placed.append(place_predictions([pred], 16.0)[0])
         out = composite(Canvas.white(16), placed)
         np.testing.assert_allclose(out.pixels, target.pixels, atol=1e-12)
-
-    def test_constant_texture_equals_flat_compositing(self):
-        stroke = self.thin_stroke(6.0, 16.0, 26.0, 14.0, [200, 40, 90], width=5.0)
-        texture = Canvas(np.full((8, 8, 3), stroke.color / 255.0))
-        base = Canvas.white(32)
-        textured = compose_textured(base, stroke, texture)
-        flat = compose_over(base, stroke)
-        np.testing.assert_array_equal(textured.pixels, flat.pixels)
-
-    def test_black_texture_over_white_exposes_the_alpha(self):
-        stroke = self.thin_stroke(6.0, 10.0, 26.0, 22.0, [255, 255, 255], width=4.0)
-        texture = Canvas(np.zeros((5, 9, 3)))
-        out = compose_textured(Canvas.white(32), stroke, texture)
-        alpha = stroke_alpha(stroke, (32, 32))
-        np.testing.assert_allclose(1.0 - out.pixels[:, :, 0], alpha, atol=1e-12)
-
-    def test_texture_corners_land_on_the_coverage_box(self):
-        stroke = self.thin_stroke(8.0, 8.0, 24.0, 24.0, [0, 0, 0], opacity=1.0,
-                                  width=8.0)
-        texture = Canvas(np.zeros((2, 2, 3)))
-        texture.pixels[0, 0] = [1.0, 0.0, 0.0]
-        texture.pixels[1, 1] = [0.0, 0.0, 1.0]
-        out = compose_textured(Canvas.white(32), stroke, texture)
-        alpha = stroke_alpha(stroke, (32, 32))
-        core = alpha >= 0.5
-        ys, xs = np.nonzero(core)
-        top = out.pixels[ys.min(), xs[ys == ys.min()].min()]
-        bottom = out.pixels[ys.max(), xs[ys == ys.max()].max()]
-        # the warped color dominates wherever coverage is high
-        a_top = alpha[ys.min(), xs[ys == ys.min()].min()]
-        a_bot = alpha[ys.max(), xs[ys == ys.max()].max()]
-        np.testing.assert_allclose(
-            top, a_top * np.array([1.0, 0.0, 0.0]) + (1 - a_top), atol=1e-12)
-        np.testing.assert_allclose(
-            bottom, a_bot * np.array([0.0, 0.0, 1.0]) + (1 - a_bot), atol=1e-12)
-
-    def test_texture_channels_must_match(self):
-        stroke = self.thin_stroke(6.0, 16.0, 26.0, 16.0, [0, 0, 0])
-        with pytest.raises(ConfigError):
-            compose_textured(Canvas.white(32), stroke, Canvas(np.zeros((4, 4, 1))))
 
 
 class TestResizeAndPadding:

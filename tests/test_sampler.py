@@ -10,7 +10,7 @@ from strokecraft.errors import NumericalError
 class TestAncestralSampler:
     def _oracle(self, schedule, x0):
         class _P:
-            def predict(self_inner, x, t, cond=None):
+            def predict(self_inner, x, t):
                 ab = schedule.alpha_bars[t]
                 return (x - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab)
 
@@ -48,7 +48,7 @@ class TestAncestralSampler:
         schedule = build_schedule(16)
 
         class Bad:
-            def predict(self, x, t, cond=None):
+            def predict(self, x, t):
                 return np.full_like(x, np.inf)
 
         with pytest.raises(NumericalError, match="step 15"):
