@@ -118,5 +118,6 @@ class Denoiser:
 
     @classmethod
     def load(cls, path) -> "Denoiser":
-        arch, params = nn.load_model(path, "tau_mlp", ARCH_KEYS, _param_shapes)
+        arch, params = nn.load_model(path, "tau_mlp", ARCH_KEYS, _param_shapes,
+                                     lists={"hidden": None})
         return cls(arch=arch, params=params)

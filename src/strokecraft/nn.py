@@ -197,6 +197,8 @@ def load_checkpoint(path) -> tuple[dict, np.ndarray]:
         header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataIOError(f"checkpoint {path} has a malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataIOError(f"checkpoint {path} header is not a JSON object")
     if header.get(CHECKPOINT_MAGIC_KEY) != CHECKPOINT_FORMAT:
         raise DataIOError(f"checkpoint {path} has unknown format {header.get(CHECKPOINT_MAGIC_KEY)!r}")
     body = raw[4 + hlen :]
@@ -211,12 +213,19 @@ def load_checkpoint(path) -> tuple[dict, np.ndarray]:
     return header, params
 
 
-def load_model(path, kind: str, keys: tuple[str, ...], shapes) -> tuple[dict, np.ndarray]:
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+def load_model(path, kind: str, keys: tuple[str, ...], shapes,
+               lists: dict[str, int | None] | None = None) -> tuple[dict, np.ndarray]:
     """Architecture and weights of a ``kind`` checkpoint.
 
     The architecture is ``kind`` plus ``keys`` read from the header; other
-    header keys are ignored.  ``shapes`` maps the architecture to its
-    parameter shapes, whose total size the weights must match.
+    header keys are ignored.  Each key holds one positive int, except those
+    in ``lists``, which hold a list of positive ints of the mapped length
+    (None: any length).  ``shapes`` maps the architecture to its parameter
+    shapes, whose total size the weights must match.
     """
     header, params = load_checkpoint(path)
     if header.get("kind") != kind:
@@ -224,6 +233,19 @@ def load_model(path, kind: str, keys: tuple[str, ...], shapes) -> tuple[dict, np
     missing = [k for k in keys if k not in header]
     if missing:
         raise DataIOError(f"checkpoint {path} lacks architecture keys {', '.join(missing)}")
+    lists = lists or {}
+    for key in keys:
+        value = header[key]
+        if key not in lists:
+            ok, want = _positive_int(value), "a positive integer"
+        else:
+            length = lists[key]
+            ok = (isinstance(value, list) and length in (None, len(value))
+                  and all(map(_positive_int, value)))
+            want = f"a list of {length or 'any number of'} positive integers"
+        if not ok:
+            raise DataIOError(f"checkpoint {path} architecture key {key} must be {want}, "
+                              f"got {value!r:.40}")
     arch = {"kind": kind, **{k: header[k] for k in keys}}
     if params.size != sum(_sizes(shapes(arch))):
         raise ConfigError("checkpoint weight count does not match its architecture")

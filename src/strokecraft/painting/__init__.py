@@ -15,12 +15,9 @@ from .losses import (
     GroundTruthStroke,
     MatchConfig,
     StrokePrediction,
-    bce,
-    cosine_distance,
     hungarian_assignment,
     matching_loss,
     p_minus,
-    pairwise_cost,
     ranking_loss,
     total_predictor_loss,
 )
@@ -47,9 +44,7 @@ __all__ = [
     "PredictorTraining",
     "StrokePrediction",
     "StrokePredictor",
-    "bce",
     "composite",
-    "cosine_distance",
     "ground_truth_from_stroke",
     "hungarian_assignment",
     "layered_paint",
@@ -59,7 +54,6 @@ __all__ = [
     "order_strokes",
     "p_minus",
     "padded_side",
-    "pairwise_cost",
     "pairwise_rank_error",
     "place_predictions",
     "predict_strokes",

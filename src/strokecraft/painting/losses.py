@@ -49,20 +49,25 @@ class MatchConfig:
         return (self.lambda_l1, self.lambda_cos, self.lambda_presence)
 
 
-def p_minus(params: np.ndarray, x_shift: float, y_shift: float, side: float) -> np.ndarray:
-    """Scale-comparable (c_p, x_shift, y_shift) vector.
+def p_minus_scale(side: float) -> np.ndarray:
+    """Divisors taking the 13 stroke parameters to P-minus scale.
 
     Pixel-valued dimensions are divided by the canvas side, colors by 255;
-    opacity and the shifts are already normalized.
+    opacity is already normalized.
     """
+    scale = np.where(SPATIAL_DIMS, float(side), 1.0)
+    scale[8:11] = 255.0
+    return scale
+
+
+def p_minus(params: np.ndarray, x_shift: float, y_shift: float, side: float) -> np.ndarray:
+    """Scale-comparable (c_p, x_shift, y_shift) vector; the shifts are already normalized."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (PARAM_COUNT,):
         raise ConfigError(f"expected {PARAM_COUNT} stroke parameters, got {params.shape}")
     if side <= 0:
         raise ConfigError(f"canvas side must be positive, got {side}")
-    scale = np.where(SPATIAL_DIMS, float(side), 1.0)
-    scale[8:11] = 255.0
-    return np.concatenate([params / scale, [float(x_shift), float(y_shift)]])
+    return np.concatenate([params / p_minus_scale(side), [float(x_shift), float(y_shift)]])
 
 
 @dataclass(frozen=True)
@@ -118,48 +123,6 @@ class GroundTruthStroke:
         return p_minus(self.params, self.x_shift, self.y_shift, side)
 
 
-def bce(target: float, prob: float) -> tuple[float, float]:
-    """Binary cross-entropy and its d/dprob, with the probability clamped."""
-    clamped = min(max(prob, PROB_FLOOR), 1.0 - PROB_FLOOR)
-    loss = -(target * np.log(clamped) + (1.0 - target) * np.log1p(-clamped))
-    if prob == clamped:
-        grad = (clamped - target) / (clamped * (1.0 - clamped))
-    else:
-        grad = 0.0
-    return float(loss), float(grad)
-
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """1 - cos(a, b) and its gradient in b; zero-norm vectors are maximally far."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ConfigError(f"vectors must share a 1-D shape, got {a.shape} and {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 1.0, np.zeros_like(b)
-    dot = float(a @ b)
-    grad = -(a / (na * nb) - dot * b / (na * nb**3))
-    return 1.0 - dot / (na * nb), grad
-
-
-def pairwise_cost(pred_p: np.ndarray, pred_d: float, gt_p: np.ndarray, gt_d: float,
-                  cfg: MatchConfig) -> float:
-    """Weighted L1 + cosine distance + presence cross-entropy for one pair.
-
-    Expects vectors already on comparable scales (see p_minus).
-    """
-    pred_p = np.asarray(pred_p, dtype=np.float64)
-    gt_p = np.asarray(gt_p, dtype=np.float64)
-    if pred_p.shape != gt_p.shape:
-        raise ConfigError(f"pair shapes differ: {pred_p.shape} vs {gt_p.shape}")
-    l1 = float(np.sum(np.abs(gt_p - pred_p)))
-    cos_dist, _ = cosine_distance(gt_p, pred_p)
-    presence, _ = bce(gt_d, pred_d)
-    return cfg.lambda_l1 * l1 + cfg.lambda_cos * cos_dist + cfg.lambda_presence * presence
-
-
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """scipy's assignment solver, imported on first use.
 
@@ -204,36 +167,38 @@ def matching_loss(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
     n = gt_p.shape[0]
     if n > m:
         raise ConfigError(f"{n} ground-truth strokes exceed {m} predictions")
-    grad_p = np.zeros_like(pred_p)
-    grad_d = np.zeros_like(pred_d)
-    matched = np.zeros(m, dtype=bool)
-    assignment = np.empty(0, dtype=np.int64)
+    clamped = np.clip(pred_d, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    dot = gt_p @ pred_p.T
+    gt_norm = np.linalg.norm(gt_p, axis=1)
+    pred_norm = np.linalg.norm(pred_p, axis=1)
+    # a zero-norm vector is maximally far in cosine and gets no cosine gradient
+    nonzero = (gt_norm != 0.0)[:, None] & (pred_norm != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.where(nonzero, 1.0 - dot / (gt_norm[:, None] * pred_norm), 1.0)
+    l1 = np.abs(gt_p[:, None] - pred_p).sum(axis=2)
+    cost = (cfg.lambda_l1 * l1 + cfg.lambda_cos * cos
+            + cfg.lambda_presence * -np.log(clamped))
+    assignment = np.empty(n, dtype=np.int64)
     if n:
-        cost = np.empty((n, m))
-        for i in range(n):
-            for j in range(m):
-                cost[i, j] = pairwise_cost(pred_p[j], float(pred_d[j]), gt_p[i], 1.0, cfg)
         rows, cols = hungarian_assignment(cost)
-        assignment = np.empty(n, dtype=np.int64)
         assignment[rows] = cols
-    total = 0.0
-    for i in range(n):
-        j = assignment[i]
-        matched[j] = True
-        total += cfg.lambda_l1 * float(np.sum(np.abs(gt_p[i] - pred_p[j])))
-        grad_p[j] += cfg.lambda_l1 * np.sign(pred_p[j] - gt_p[i])
-        cos_dist, cos_grad = cosine_distance(gt_p[i], pred_p[j])
-        total += cfg.lambda_cos * cos_dist
-        grad_p[j] += cfg.lambda_cos * cos_grad
-        presence, presence_grad = bce(1.0, float(pred_d[j]))
-        total += cfg.lambda_presence * presence
-        grad_d[j] += cfg.lambda_presence * presence_grad
-    for j in range(m):
-        if matched[j]:
-            continue
-        absence, absence_grad = bce(0.0, float(pred_d[j]))
-        total += cfg.lambda_presence * absence
-        grad_d[j] += cfg.lambda_presence * absence_grad
+    pair = (np.arange(n), assignment)
+    matched = np.zeros(m, dtype=bool)
+    matched[assignment] = True
+    absence = cfg.lambda_presence * -np.log1p(-clamped[~matched])
+    total = cost[pair].sum() + absence.sum()
+
+    pred_m = pred_p[assignment]
+    na = gt_norm[:, None]
+    nb = pred_norm[assignment, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_grad = -(gt_p / (na * nb) - dot[pair][:, None] * pred_m / (na * nb**3))
+    grad_p = np.zeros_like(pred_p)
+    grad_p[assignment] = (cfg.lambda_l1 * np.sign(pred_m - gt_p)
+                          + cfg.lambda_cos * np.where(nonzero[pair][:, None], cos_grad, 0.0))
+    # the clamped cross-entropy is flat outside the clamp
+    bce_grad = np.where(matched, clamped - 1.0, clamped) / (clamped * (1.0 - clamped))
+    grad_d = cfg.lambda_presence * np.where(pred_d == clamped, bce_grad, 0.0)
     return float(total), grad_p, grad_d, assignment
 
 
@@ -284,7 +249,6 @@ def total_predictor_loss(pred_p: np.ndarray, pred_d: np.ndarray, pred_scr: np.nd
     if len(assignment) >= 2:
         gt_order = np.asarray(gt_order, dtype=np.float64)
         rank, rank_grad = ranking_loss(pred_scr[assignment], gt_order, cfg.margin)
-        for gt_i, pred_j in enumerate(assignment):
-            grad_scr[pred_j] += cfg.lambda_rank * rank_grad[gt_i]
+        grad_scr[assignment] = cfg.lambda_rank * rank_grad
     loss = match + cfg.lambda_rank * rank
     return float(loss), grad_p, grad_d, grad_scr, assignment

@@ -15,8 +15,8 @@ import numpy as np
 from .. import nn
 from ..errors import ConfigError
 from ..strokes.canvas import Canvas
-from ..strokes.model import PARAM_COUNT, SPATIAL_DIMS, ParamRanges
-from .losses import MatchConfig, StrokePrediction, total_predictor_loss
+from ..strokes.model import PARAM_COUNT, ParamRanges
+from .losses import MatchConfig, StrokePrediction, p_minus_scale, total_predictor_loss
 
 DEFAULT_INPUT_SIDE = 32
 DEFAULT_CONV_CHANNELS = (8, 16)
@@ -45,8 +45,7 @@ def _param_shapes(arch: dict) -> list[tuple[int, ...]]:
 def _p_minus_affine(side: float) -> tuple[np.ndarray, np.ndarray]:
     """Slope and intercept taking range-normalized parameters to P-minus scale."""
     ranges = ParamRanges.for_canvas(side)
-    scale = np.where(SPATIAL_DIMS, float(side), 1.0)
-    scale[8:11] = 255.0
+    scale = p_minus_scale(side)
     return ranges.span / scale, ranges.lo / scale
 
 
@@ -132,7 +131,8 @@ class StrokePredictor:
 
     @classmethod
     def load(cls, path) -> "StrokePredictor":
-        arch, params = nn.load_model(path, "stroke_conv", ARCH_KEYS, _param_shapes)
+        arch, params = nn.load_model(path, "stroke_conv", ARCH_KEYS, _param_shapes,
+                                     lists={"conv_channels": 2})
         return cls(arch=arch, params=params)
 
 

@@ -86,17 +86,13 @@ def pairwise_rank_error(scr: np.ndarray, order: np.ndarray) -> float:
         raise ConfigError(f"scores {scr.shape} and orders {order.shape} must be equal 1-D")
     if len(scr) < 2:
         raise ConfigError("rank error needs at least two strokes")
-    bad = 0.0
-    pairs = 0
-    for i in range(len(scr)):
-        for j in range(i + 1, len(scr)):
-            earlier, later = (i, j) if order[i] < order[j] else (j, i)
-            pairs += 1
-            if scr[earlier] > scr[later]:
-                bad += 1.0
-            elif scr[earlier] == scr[later]:
-                bad += 0.5
-    return bad / pairs
+    i, j = np.triu_indices(len(scr), 1)
+    # the earlier of each pair is i when its order is smaller, else j
+    swap = ~(order[i] < order[j])
+    earlier = np.where(swap, scr[j], scr[i])
+    later = np.where(swap, scr[i], scr[j])
+    bad = np.count_nonzero(earlier > later) + 0.5 * np.count_nonzero(earlier == later)
+    return bad / len(i)
 
 
 @dataclass
@@ -109,7 +105,11 @@ class PredictorTraining:
 
 
 def _holdout_rank_error(predictor: StrokePredictor, scenes: list, cfg: MatchConfig) -> float:
-    """Mean pairwise rank error of the matched slots, one forward pass per scene."""
+    """Mean pairwise rank error of the matched slots, one forward pass per scene.
+
+    Scenes with fewer than two strokes have no pair to rank; with no other
+    scene the error is undefined, so it is nan.
+    """
     errors = []
     for current, target, gts in scenes:
         if len(gts) < 2:
@@ -118,7 +118,7 @@ def _holdout_rank_error(predictor: StrokePredictor, scenes: list, cfg: MatchConf
         scr = u[:, PARAM_COUNT + 2]
         order = np.array([g.order_index for g in gts])
         errors.append(pairwise_rank_error(scr[assignment], order))
-    return float(np.mean(errors)) if errors else 0.0
+    return float(np.mean(errors)) if errors else float("nan")
 
 
 def train_predictor(generator, cfg: MatchConfig, epochs: int, rng: np.random.Generator, *,
@@ -130,7 +130,7 @@ def train_predictor(generator, cfg: MatchConfig, epochs: int, rng: np.random.Gen
     The generator is called with the rng and must yield (current canvas,
     target canvas, ground-truth strokes). A fixed holdout set tracks the
     mean pairwise rank error of the matched predictions after every
-    epoch; it is drawn from the generator up front unless an explicit
+    epoch (nan when no holdout scene has two strokes); it is drawn from the generator up front unless an explicit
     scene list is supplied, which callers training from a replayed pool
     should do to keep the holdout unseen. Non-finite losses abort.
     """

@@ -9,7 +9,6 @@ from .model import (
     SPATIAL_DIMS,
     BezierStroke,
     ParamRanges,
-    eval_bezier,
     generate_random_stroke,
     load_strokes,
     max_opacity_equivalent,
@@ -37,7 +36,6 @@ __all__ = [
     "SPATIAL_DIMS",
     "compose_over",
     "coverage_batch",
-    "eval_bezier",
     "fit_stroke",
     "generate_random_stroke",
     "generate_visible_stroke",

@@ -111,24 +111,6 @@ class BezierStroke:
         return float(self.vector[12])
 
 
-def eval_bezier(stroke: BezierStroke | np.ndarray, u) -> np.ndarray:
-    """Point(s) on the cubic at parameter u in [0, 1], shape (..., 2).
-
-    Accepts a stroke or a raw (4, 2) control point array.
-    """
-    pts = stroke.control_points if isinstance(stroke, BezierStroke) else np.asarray(stroke)
-    if pts.shape != (4, 2):
-        raise ConfigError(f"expected (4, 2) control points, got {pts.shape}")
-    u = np.asarray(u, dtype=np.float64)[..., None]
-    v = 1.0 - u
-    return (
-        v**3 * pts[0]
-        + 3.0 * v**2 * u * pts[1]
-        + 3.0 * v * u**2 * pts[2]
-        + u**3 * pts[3]
-    )
-
-
 def generate_random_stroke(rng: np.random.Generator, ranges: ParamRanges) -> BezierStroke:
     """Each dimension uniform over its range."""
     return BezierStroke(rng.uniform(ranges.lo, ranges.hi))

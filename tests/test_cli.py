@@ -44,6 +44,13 @@ def drop_header_key(source, dest, key):
     nn.save_checkpoint(dest, header, params)
 
 
+def set_header_key(source, dest, key, value):
+    """Copy a checkpoint with one header value replaced."""
+    header, params = nn.load_checkpoint(source)
+    header[key] = value
+    nn.save_checkpoint(dest, header, params)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One generated dataset and small trained checkpoints, shared by the tests."""
@@ -277,6 +284,29 @@ class TestTrainPredictorAndPaint:
                      "--predictor", str(tmp_path / "p.ckpt"),
                      "--out", str(tmp_path / "bad")]) == 3
         assert "fc_hidden" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("fc_hidden", "x"),
+        ("fc_hidden", 128.0),
+        ("max_strokes", 8.0),
+        ("conv_channels", [8]),
+        ("conv_channels", "ab"),
+    ])
+    def test_mistyped_architecture_key_is_an_io_error(self, workspace, tmp_path, capsys,
+                                                      key, value):
+        set_header_key(workspace / "ptrain" / "predictor.ckpt", tmp_path / "p.ckpt", key, value)
+        assert main(["paint", "--target", str(workspace / "data" / "stroke_000.ppm"),
+                     "--predictor", str(tmp_path / "p.ckpt"),
+                     "--out", str(tmp_path / "bad")]) == 3
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_empty_holdout_reports_nan(self, tmp_path, capsys):
+        out = tmp_path / "train"
+        assert main(["train-predictor", "--epochs", "1", "--scenes-per-epoch", "1",
+                     "--holdout-scenes", "0", "--seed", "1", "--out", str(out)]) == 0
+        assert read_csv(out / "rank_error.csv")[1] == ["0", "nan"]
+        assert "holdout rank error nan" in capsys.readouterr().out
 
 
 class TestMetrics:

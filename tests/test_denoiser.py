@@ -159,3 +159,9 @@ class TestCheckpoints:
         path.write_bytes(b"\x10\x00\x00\x00not json at all!" + b"\x00" * 32)
         with pytest.raises(DataIOError):
             Denoiser.load(path)
+
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "list.ckpt"
+        path.write_bytes(b"\x03\x00\x00\x00[1]" + b"\x00" * 8)
+        with pytest.raises(DataIOError):
+            Denoiser.load(path)

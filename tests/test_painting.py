@@ -13,7 +13,6 @@ from strokecraft.painting import (
     StrokePrediction,
     StrokePredictor,
     composite,
-    cosine_distance,
     ground_truth_from_stroke,
     hungarian_assignment,
     layered_paint,
@@ -23,7 +22,6 @@ from strokecraft.painting import (
     order_strokes,
     p_minus,
     padded_side,
-    pairwise_cost,
     pairwise_rank_error,
     place_predictions,
     predict_strokes,
@@ -36,6 +34,7 @@ from strokecraft.painting import (
     train_predictor,
 )
 from strokecraft.diffusion.denoiser import Denoiser
+from strokecraft.painting.losses import PROB_FLOOR
 from strokecraft.strokes import (
     BezierStroke,
     Canvas,
@@ -64,6 +63,104 @@ def tiny_scene(seed, side=8, count=2):
         target = compose_over(target, stroke)
         gts.append(ground_truth_from_stroke(stroke.vector, side, index))
     return Canvas.white(side), target, gts
+
+
+def pair_cost(pred, d, gt, cfg):
+    """The package's matching cost of one prediction against one ground truth."""
+    return matching_loss(np.asarray(pred)[None], np.array([d]), np.asarray(gt)[None], cfg)[0]
+
+
+# Scalar transcription of the matching objective, one pair at a time: the
+# independent route the array code in painting.losses is checked against.
+
+def scalar_bce(target, prob):
+    """Binary cross-entropy and its d/dprob, with the probability clamped."""
+    clamped = min(max(prob, PROB_FLOOR), 1.0 - PROB_FLOOR)
+    loss = -(target * np.log(clamped) + (1.0 - target) * np.log1p(-clamped))
+    grad = (clamped - target) / (clamped * (1.0 - clamped)) if prob == clamped else 0.0
+    return float(loss), float(grad)
+
+
+def scalar_cosine_distance(a, b):
+    """1 - cos(a, b) and its gradient in b; zero-norm vectors are maximally far."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 1.0, np.zeros_like(b)
+    dot = float(a @ b)
+    grad = -(a / (na * nb) - dot * b / (na * nb**3))
+    return 1.0 - dot / (na * nb), grad
+
+
+def scalar_pairwise_cost(pred_p, pred_d, gt_p, cfg):
+    """Weighted L1 + cosine distance + presence cross-entropy for one pair."""
+    l1 = float(np.sum(np.abs(gt_p - pred_p)))
+    cos_dist, _ = scalar_cosine_distance(gt_p, pred_p)
+    presence, _ = scalar_bce(1.0, pred_d)
+    return cfg.lambda_l1 * l1 + cfg.lambda_cos * cos_dist + cfg.lambda_presence * presence
+
+
+def scalar_matching_loss(pred_p, pred_d, gt_p, cfg):
+    """matching_loss one cell, one matched pair and one unmatched slot at a time."""
+    m, n = len(pred_p), len(gt_p)
+    grad_p = np.zeros_like(pred_p)
+    grad_d = np.zeros_like(pred_d)
+    matched = np.zeros(m, dtype=bool)
+    assignment = np.empty(0, dtype=np.int64)
+    if n:
+        cost = np.empty((n, m))
+        for i in range(n):
+            for j in range(m):
+                cost[i, j] = scalar_pairwise_cost(pred_p[j], float(pred_d[j]), gt_p[i], cfg)
+        rows, cols = hungarian_assignment(cost)
+        assignment = np.empty(n, dtype=np.int64)
+        assignment[rows] = cols
+    total = 0.0
+    for i in range(n):
+        j = assignment[i]
+        matched[j] = True
+        total += cfg.lambda_l1 * float(np.sum(np.abs(gt_p[i] - pred_p[j])))
+        grad_p[j] += cfg.lambda_l1 * np.sign(pred_p[j] - gt_p[i])
+        cos_dist, cos_grad = scalar_cosine_distance(gt_p[i], pred_p[j])
+        total += cfg.lambda_cos * cos_dist
+        grad_p[j] += cfg.lambda_cos * cos_grad
+        presence, presence_grad = scalar_bce(1.0, float(pred_d[j]))
+        total += cfg.lambda_presence * presence
+        grad_d[j] += cfg.lambda_presence * presence_grad
+    for j in range(m):
+        if matched[j]:
+            continue
+        absence, absence_grad = scalar_bce(0.0, float(pred_d[j]))
+        total += cfg.lambda_presence * absence
+        grad_d[j] += cfg.lambda_presence * absence_grad
+    return float(total), grad_p, grad_d, assignment
+
+
+def scalar_total_loss(pred_p, pred_d, pred_scr, gt_p, gt_order, cfg):
+    """total_predictor_loss with the rank gradient scattered slot by slot."""
+    match, grad_p, grad_d, assignment = scalar_matching_loss(pred_p, pred_d, gt_p, cfg)
+    grad_scr = np.zeros_like(pred_scr)
+    rank = 0.0
+    if len(assignment) >= 2:
+        rank, rank_grad = ranking_loss(pred_scr[assignment], gt_order, cfg.margin)
+        for gt_i, pred_j in enumerate(assignment):
+            grad_scr[pred_j] += cfg.lambda_rank * rank_grad[gt_i]
+    return match + cfg.lambda_rank * rank, grad_p, grad_d, grad_scr, assignment
+
+
+def scalar_rank_error(scr, order):
+    """pairwise_rank_error as a double loop over the pairs."""
+    bad = 0.0
+    pairs = 0
+    for i in range(len(scr)):
+        for j in range(i + 1, len(scr)):
+            earlier, later = (i, j) if order[i] < order[j] else (j, i)
+            pairs += 1
+            if scr[earlier] > scr[later]:
+                bad += 1.0
+            elif scr[earlier] == scr[later]:
+                bad += 0.5
+    return bad / pairs
 
 
 class TestMatchConfig:
@@ -130,7 +227,7 @@ class TestDomainTypes:
 class TestPairwiseCost:
     def test_identity_pair_costs_only_the_clamp(self):
         vec = np.linspace(0.1, 1.0, 15)
-        cost = pairwise_cost(vec, 1.0, vec, 1.0, CFG)
+        cost = pair_cost(vec, 1.0, vec, CFG)
         assert cost == pytest.approx(10.0 * -np.log1p(-1e-7), rel=1e-9)
         assert cost < 1e-5
 
@@ -138,12 +235,12 @@ class TestPairwiseCost:
         cfg = MatchConfig(lambda_l1=0.0, lambda_presence=0.0)
         rng = np.random.default_rng(0)
         vec = rng.normal(size=15)
-        base = pairwise_cost(2.0 * vec, 1.0, vec, 1.0, cfg)
+        base = pair_cost(2.0 * vec, 1.0, vec, cfg)
         assert base == pytest.approx(0.0, abs=1e-12)
         other = rng.normal(size=15)
         for scale in (0.01, 3.0, 250.0):
-            assert pairwise_cost(scale * other, 1.0, vec, 1.0, cfg) == pytest.approx(
-                pairwise_cost(other, 1.0, vec, 1.0, cfg), abs=1e-12
+            assert pair_cost(scale * other, 1.0, vec, cfg) == pytest.approx(
+                pair_cost(other, 1.0, vec, cfg), abs=1e-12
             )
 
     def test_hand_example_totals_twenty(self):
@@ -151,38 +248,42 @@ class TestPairwiseCost:
         gt[0] = 1.0
         pred = np.zeros(15)
         pred[1] = 1.0
-        assert pairwise_cost(pred, 1.0, gt, 1.0, CFG) == pytest.approx(20.0, abs=1e-5)
+        assert pair_cost(pred, 1.0, gt, CFG) == pytest.approx(20.0, abs=1e-5)
 
     def test_zero_norm_vector_is_maximally_far(self):
         cfg = MatchConfig(lambda_l1=0.0, lambda_presence=0.0)
-        assert pairwise_cost(np.zeros(15), 1.0, np.ones(15), 1.0, cfg) == pytest.approx(10.0)
-        assert pairwise_cost(np.ones(15), 1.0, np.zeros(15), 1.0, cfg) == pytest.approx(10.0)
+        assert pair_cost(np.zeros(15), 1.0, np.ones(15), cfg) == pytest.approx(10.0)
+        assert pair_cost(np.ones(15), 1.0, np.zeros(15), cfg) == pytest.approx(10.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            pairwise_cost(np.zeros(14), 1.0, np.zeros(15), 1.0, CFG)
+            pair_cost(np.zeros(14), 1.0, np.zeros(15), CFG)
 
 
 class TestCosineDistance:
+    COS_ONLY = MatchConfig(lambda_l1=0.0, lambda_cos=1.0, lambda_presence=0.0)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             a = rng.normal(size=6)
             b = rng.normal(size=6)
-            _, grad = cosine_distance(a, b)
+            grad = matching_loss(b[None], np.array([0.5]), a[None], self.COS_ONLY)[1][0]
             h = 1e-6
             for k in range(6):
                 bp = b.copy()
                 bp[k] += h
                 bm = b.copy()
                 bm[k] -= h
-                fd = (cosine_distance(a, bp)[0] - cosine_distance(a, bm)[0]) / (2 * h)
+                fd = (pair_cost(bp, 0.5, a, self.COS_ONLY)
+                      - pair_cost(bm, 0.5, a, self.COS_ONLY)) / (2 * h)
                 assert grad[k] == pytest.approx(fd, abs=1e-6)
 
     def test_zero_norm_has_zero_gradient(self):
-        dist, grad = cosine_distance(np.zeros(4), np.ones(4))
-        assert dist == 1.0
-        np.testing.assert_array_equal(grad, np.zeros(4))
+        loss, grad_p, _, _ = matching_loss(np.ones((1, 4)), np.array([0.5]), np.zeros((1, 4)),
+                                           self.COS_ONLY)
+        assert loss == 1.0
+        np.testing.assert_array_equal(grad_p, np.zeros((1, 4)))
 
 
 def brute_force_assignment(cost):
@@ -261,7 +362,7 @@ class TestMatchingLoss:
             d = rng.uniform(0.1, 0.9, 3)
             gts = rng.uniform(0.05, 1.0, (2, 15))
             cost = np.array([
-                [pairwise_cost(preds[j], d[j], gts[i], 1.0, CFG) for j in range(3)]
+                [scalar_pairwise_cost(preds[j], d[j], gts[i], CFG) for j in range(3)]
                 for i in range(2)
             ])
             best, cols = brute_force_assignment(cost)
@@ -301,6 +402,46 @@ class TestMatchingLoss:
     def test_more_ground_truth_than_predictions_rejected(self):
         with pytest.raises(ConfigError):
             matching_loss(np.ones((2, 15)), np.ones(2), np.ones((3, 15)), CFG)
+
+    @staticmethod
+    def random_instance(rng, m, n):
+        """Slots and truths with at most one zero-norm row per stack, presence in and out
+        of the clamp, scores and a drawing order.
+
+        A second zero-norm row would tie two rows or columns of the cost matrix
+        exactly, so the optimal assignment would no longer be unique.
+        """
+        pred_p = rng.uniform(-1.0, 2.0, (m, 15))
+        gt_p = rng.uniform(0.0, 1.0, (n, 15))
+        for stack in (pred_p, gt_p):
+            if len(stack) and rng.uniform() < 0.3:
+                stack[rng.integers(len(stack))] = 0.0
+        pred_d = rng.uniform(-0.5, 1.5, m)
+        pick = rng.uniform(size=m)
+        pred_d[pick < 0.1] = 0.0
+        pred_d[(0.1 <= pick) & (pick < 0.2)] = 1.0
+        pred_d[(0.2 <= pick) & (pick < 0.25)] = PROB_FLOOR
+        pred_scr = rng.uniform(0.0, 1.0, m)
+        return pred_p, pred_d, pred_scr, gt_p, rng.permutation(n) + 1
+
+    def test_agrees_with_the_scalar_transcription(self):
+        rng = np.random.default_rng(14)
+        cases = 0
+        for _ in range(42):
+            for m in range(1, 9):
+                for n in (0, m, int(rng.integers(0, m + 1))):
+                    args = self.random_instance(rng, m, n)
+                    pred_p, pred_d, _, gt_p, _ = args
+                    for fast, slow in (
+                        (matching_loss(pred_p, pred_d, gt_p, CFG),
+                         scalar_matching_loss(pred_p, pred_d, gt_p, CFG)),
+                        (total_predictor_loss(*args, CFG), scalar_total_loss(*args, CFG)),
+                    ):
+                        np.testing.assert_array_equal(fast[-1], slow[-1])
+                        for got, want in zip(fast[:-1], slow[:-1]):
+                            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+                    cases += 1
+        assert cases >= 1000
 
 
 def listing_rank_loss(scr, order, margin):
@@ -756,6 +897,15 @@ class TestRankError:
         with pytest.raises(ConfigError):
             pairwise_rank_error([0.5], [1])
 
+    def test_equals_the_double_loop_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        for trial in range(600):
+            n = int(rng.integers(2, 10))
+            # coarse score grids tie often; repeated order values tie too
+            scr = rng.choice([0.1, 0.25, 0.5, 0.75], n) if trial % 2 else rng.uniform(size=n)
+            order = rng.permutation(n) + 1 if trial % 3 else rng.integers(1, 4, n)
+            assert pairwise_rank_error(scr, order) == scalar_rank_error(scr, order)
+
 
 class TestTraining:
     def test_fixed_scene_loss_halves(self):
@@ -819,6 +969,13 @@ class TestTraining:
         order = np.array([g.order_index for g in held[2]])
         expected = pairwise_rank_error(scr[assignment], order)
         assert result.rank_error_history[-1] == pytest.approx(expected)
+
+    def test_holdout_without_a_pair_to_rank_is_nan(self):
+        from strokecraft.painting.training import _holdout_rank_error
+
+        scenes = [tiny_scene(50, side=8, count=1), tiny_scene(51, side=8, count=0)]
+        assert np.isnan(_holdout_rank_error(small_predictor(), scenes, MatchConfig(max_strokes=3)))
+        assert np.isnan(_holdout_rank_error(small_predictor(), [], MatchConfig(max_strokes=3)))
 
     def test_holdout_rank_error_equals_the_two_call_computation(self):
         """One forward per scene gives the same bits as loss_and_grad plus predict_strokes."""

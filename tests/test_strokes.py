@@ -10,7 +10,6 @@ from strokecraft.strokes import (
     REFERENCE_SIDE,
     BezierStroke,
     ParamRanges,
-    eval_bezier,
     generate_random_stroke,
     generate_visible_stroke,
     load_strokes,
@@ -19,6 +18,7 @@ from strokecraft.strokes import (
     save_strokes,
     stroke_alpha,
 )
+from strokecraft.strokes.raster import polyline_points
 
 
 def de_casteljau(pts, u):
@@ -36,30 +36,36 @@ def make_stroke(points, color=(30.0, 60.0, 90.0), opacity=0.8, width=3.0):
 
 # --- curve evaluation ---
 
+def spine(points, samples):
+    """The rasterizer's samples of a cubic at evenly spaced u in [0, 1], (samples, 2)."""
+    vector = np.concatenate([np.asarray(points, dtype=float).ravel(), np.zeros(5)])
+    return polyline_points(vector[None], samples)[0]
+
+
 def test_bezier_endpoints():
-    stroke = make_stroke([(1.0, 2.0), (5.0, -1.0), (9.0, 4.0), (12.0, 7.0)])
-    assert np.allclose(eval_bezier(stroke, 0.0), [1.0, 2.0])
-    assert np.allclose(eval_bezier(stroke, 1.0), [12.0, 7.0])
+    start, end = spine([(1.0, 2.0), (5.0, -1.0), (9.0, 4.0), (12.0, 7.0)], 2)
+    assert np.allclose(start, [1.0, 2.0])
+    assert np.allclose(end, [12.0, 7.0])
 
 
 def test_bezier_collinear_equally_spaced_midpoint():
     p0 = np.array([2.0, 3.0])
     p3 = np.array([14.0, 9.0])
     pts = [p0, p0 + (p3 - p0) / 3, p0 + 2 * (p3 - p0) / 3, p3]
-    assert np.allclose(eval_bezier(np.array(pts), 0.5), (p0 + p3) / 2)
+    assert np.allclose(spine(pts, 3)[1], (p0 + p3) / 2)
 
 
 def test_bezier_matches_de_casteljau():
     rng = np.random.default_rng(4)
     for _ in range(20):
         pts = rng.uniform(-10, 40, size=(4, 2))
-        for u in np.linspace(0, 1, 17):
-            assert np.allclose(eval_bezier(pts, u), de_casteljau(pts, u), atol=1e-12)
+        for u, point in zip(np.linspace(0, 1, 17), spine(pts, 17)):
+            assert np.allclose(point, de_casteljau(pts, u), atol=1e-12)
 
 
 def test_bezier_rejects_bad_control_shape():
     with pytest.raises(ConfigError):
-        eval_bezier(np.zeros((3, 2)), 0.5)
+        BezierStroke.from_parts(np.zeros((3, 2)), np.zeros(3), 1.0, 2.0)
 
 
 # --- parameter vector and ranges ---
