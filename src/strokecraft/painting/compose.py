@@ -170,10 +170,9 @@ def layered_paint(target: Canvas, predictor: StrokePredictor, layers: int, *,
                     preds, patch, origin=(col * patch, row * patch),
                     layer=layer, patch=(row, col),
                 ))
-        ordered = order_strokes(placed, threshold)
-        for item in ordered:
-            current = compose_over(current, item.stroke, samples, softness)
-        result.strokes.extend(ordered)
+        current = composite(current, placed, threshold=threshold, samples=samples,
+                            softness=softness)
+        result.strokes.extend(order_strokes(placed, threshold))
         cropped = Canvas(current.pixels[: target.height, : target.width].copy())
         result.intermediates.append(cropped)
         result.layer_mse.append(mse(cropped.pixels, target.pixels))

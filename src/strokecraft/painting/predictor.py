@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import nn
-from ..errors import ConfigError
+from ..errors import ConfigError, NumericalError
 from ..strokes.canvas import Canvas
 from ..strokes.model import PARAM_COUNT, ParamRanges
 from .losses import MatchConfig, StrokePrediction, p_minus_scale, total_predictor_loss
@@ -142,9 +142,13 @@ def predict_strokes(predictor: StrokePredictor, current: Canvas, target: Canvas,
 
     Stroke parameters are denormalized for patch_side (the true patch the
     resized inputs stand for; defaults to the input side), so the returned
-    strokes are directly renderable there.
+    strokes are directly renderable there. Non-finite slot outputs, as a
+    checkpoint with a NaN weight gives, raise NumericalError.
     """
     u, _ = predictor._forward(predictor._stack(current, target))
+    if not np.all(np.isfinite(u)):
+        raise NumericalError(f"predictor slot outputs are not finite "
+                             f"({np.count_nonzero(~np.isfinite(u))} of {u.size} values)")
     side = float(patch_side if patch_side is not None else predictor.arch["input_side"])
     ranges = ParamRanges.for_canvas(side)
     return [

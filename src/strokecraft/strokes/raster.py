@@ -6,10 +6,15 @@ over a softness scale.  Color is composited over the base with the coverage as
 alpha.  Everything is vectorized over a batch of strokes because fitting
 evaluates many perturbed candidates per step.
 
-The distance field takes a running minimum over chunks of segments, each chunk
-holding at most CHUNK_ELEMENTS segment-pixel distances (or one segment's worth
-when that is more), so its temporaries stay bounded on large canvases; min is
-exact, so the field is the same to the bit as a single pass over all segments.
+The distance field is written into one (B, H, W) array, a block of polylines
+at a time, each block taking a running minimum over chunks of segments.  A
+block times a chunk holds at most CHUNK_ELEMENTS segment-pixel distances (or
+one segment of one polyline, H * W, when that is more), so temporaries stay
+small on any batch and canvas; min is exact, so the field is the same to the
+bit as a single pass over all segments.  ``coverage_batch`` computes one field
+per distinct control polygon and applies each row's width, opacity and
+softness to it: fitting's finite-difference probes that move only colour or
+width share the geometry of the point they probe around.
 
 ``compose_over`` rasterizes only the stroke's footprint window: the bounding
 box of the four control points (the cubic lies in their convex hull), grown by
@@ -34,7 +39,7 @@ DEFAULT_SOFTNESS = 0.8
 
 # Largest coverage a skipped pixel could have had, as a fraction of opacity.
 TAIL = 1e-12
-# Segment-pixel distances the distance field holds at once, B * chunk * H * W.
+# Segment-pixel distances the distance field holds at once, rows * chunk * H * W.
 # At 64 KiB of float64 per temporary, the allocator serves each chunk from
 # memory it keeps, instead of mapping fresh zeroed pages for every call:
 # with larger chunks, page faults made up a third of stroke-fitting time.
@@ -63,18 +68,32 @@ def polyline_points(vectors: np.ndarray, samples: int) -> np.ndarray:
 
 
 def _squared_distances(a, seg, len2, xs, ys) -> np.ndarray:
-    """Squared distance from every pixel center to every segment, (B, S, H, W)."""
+    """Squared distance from every pixel center to every segment, (B, S, H, W).
+
+    Two full-size buffers carry every step in place: t, the clamped
+    projection parameter (later the y offset), and cx. The operations and
+    their order are those of the plain expression, so the bits are too.
+    """
     px = xs[None, None, None, :]
     py = ys[None, None, :, None]
     dx0 = px - a[:, :, 0, None, None]
     dy0 = py - a[:, :, 1, None, None]
-    dot = dx0 * seg[:, :, 0, None, None] + dy0 * seg[:, :, 1, None, None]
+    sx = seg[:, :, 0, None, None]
+    sy = seg[:, :, 1, None, None]
+    t = np.add(dx0 * sx, dy0 * sy)
+    positive = len2[:, :, None, None] > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(len2[:, :, None, None] > 0.0, dot / len2[:, :, None, None], 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    cx = dx0 - t * seg[:, :, 0, None, None]
-    cy = dy0 - t * seg[:, :, 1, None, None]
-    return cx * cx + cy * cy
+        np.divide(t, len2[:, :, None, None], out=t)
+    if not positive.all():
+        np.copyto(t, 0.0, where=~positive)
+    np.clip(t, 0.0, 1.0, out=t)
+    cx = np.multiply(t, sx)
+    np.subtract(dx0, cx, out=cx)
+    np.multiply(t, sy, out=t)
+    np.subtract(dy0, t, out=t)
+    np.multiply(cx, cx, out=cx)
+    np.multiply(t, t, out=t)
+    return np.add(cx, t, out=cx)
 
 
 def distance_field_batch(poly: np.ndarray, height: int, width: int, *,
@@ -89,13 +108,23 @@ def distance_field_batch(poly: np.ndarray, height: int, width: int, *,
     seg = poly[:, 1:] - a
     len2 = np.sum(seg * seg, axis=-1)  # (B, S-1)
     xs, ys = _pixel_centers(height, width, origin)
-    chunk = max(1, CHUNK_ELEMENTS // (len(poly) * height * width))
-    d2 = None
-    for lo in range(0, a.shape[1], chunk):
-        part = slice(lo, lo + chunk)
-        nearest = _squared_distances(a[:, part], seg[:, part], len2[:, part], xs, ys).min(axis=1)
-        d2 = nearest if d2 is None else np.minimum(d2, nearest, out=d2)
-    return np.sqrt(d2)
+    # Blocks of `rows` polylines times `chunk` segments keep every temporary
+    # within max(CHUNK_ELEMENTS, H * W) values.
+    pixels = max(1, height * width)
+    chunk = max(1, min(a.shape[1], CHUNK_ELEMENTS // pixels))
+    rows = max(1, CHUNK_ELEMENTS // (chunk * pixels))
+    field = np.empty((len(poly), height, width))
+    for top in range(0, len(poly), rows):
+        block = slice(top, top + rows)
+        d2 = field[block]
+        for lo in range(0, a.shape[1], chunk):
+            part = slice(lo, lo + chunk)
+            squared = _squared_distances(a[block, part], seg[block, part], len2[block, part], xs, ys)
+            if lo == 0:
+                np.min(squared, axis=1, out=d2)
+            else:
+                np.minimum(d2, squared.min(axis=1), out=d2)
+    return np.sqrt(field, out=field)
 
 
 def _check_raster_args(samples: int, softness: float) -> None:
@@ -122,8 +151,12 @@ def coverage_batch(
     if vectors.ndim != 2 or vectors.shape[1] != 13:
         raise ConfigError(f"expected (B, 13) stroke vectors, got {vectors.shape}")
     _check_raster_args(samples, softness)
-    poly = polyline_points(vectors, samples)
-    dist = distance_field_batch(poly, height, width, origin=origin)
+    geometry, shared = vectors[:, :8], slice(None)
+    if len(vectors) > 1:
+        geometry, inverse = np.unique(geometry, axis=0, return_inverse=True)
+        shared = inverse.reshape(-1)  # numpy 2.0.0 returns it as a column
+    dist = distance_field_batch(polyline_points(geometry, samples), height, width,
+                                origin=origin)[shared]
     half_width = vectors[:, 12, None, None] / 2.0
     opacity = np.clip(vectors[:, 11, None, None], 0.0, 1.0)
     z = (half_width - dist) / softness

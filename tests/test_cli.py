@@ -276,6 +276,16 @@ class TestTrainPredictorAndPaint:
             scores = [entry["scr_r"] for entry in listing if entry["layer"] == layer]
             assert scores == sorted(scores)
 
+    def test_nan_weight_is_a_numerical_error(self, workspace, tmp_path, capsys):
+        predictor = StrokePredictor.load(workspace / "ptrain" / "predictor.ckpt")
+        predictor.params[len(predictor.params) // 2] = np.nan
+        predictor.save(tmp_path / "nan.ckpt")
+        assert main(["paint", "--target", str(workspace / "data" / "stroke_000.ppm"),
+                     "--predictor", str(tmp_path / "nan.ckpt"),
+                     "--out", str(tmp_path / "bad")]) == 4
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
+
     def test_checkpoint_missing_an_architecture_key_is_an_io_error(self, workspace, tmp_path,
                                                                    capsys):
         drop_header_key(workspace / "ptrain" / "predictor.ckpt", tmp_path / "p.ckpt",

@@ -2,7 +2,7 @@
 
 Each example copies a valid checkpoint, damages it (truncation, byte flips,
 header edits, non-finite weights) and runs ``paint`` or ``sample`` on it
-in-process through ``cli.main``.  The example count and the seed are fixed,
+in-process through ``cli.main``.  NaN weights must give exit 4 (numerical).  The example count and the seed are fixed,
 so the suite runs the same inputs every time.
 """
 
@@ -73,15 +73,15 @@ header_values = st.one_of(
 
 @st.composite
 def damage(draw, raw: bytes):
-    """One corruption of a checkpoint's bytes."""
+    """One corruption of a checkpoint's bytes, and whether it wrote NaN weights."""
     how = draw(st.sampled_from(["truncate", "flip", "header", "weights"]))
     if how == "truncate":
-        return raw[:draw(st.integers(0, len(raw) - 1))]
+        return raw[:draw(st.integers(0, len(raw) - 1))], False
     if how == "flip":
         data = bytearray(raw)
         for _ in range(draw(st.integers(1, 4))):
             data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
-        return bytes(data)
+        return bytes(data), False
     header, body = split(raw)
     if how == "header":
         key = draw(st.sampled_from(sorted(header)))
@@ -89,11 +89,12 @@ def damage(draw, raw: bytes):
             header[key] = draw(header_values)
         else:
             del header[key]
-        return join(header, body)
+        return join(header, body), False
     weights = np.frombuffer(body, dtype="<f8").copy()
     spots = draw(st.lists(st.integers(0, weights.size - 1), min_size=1, max_size=8))
-    weights[spots] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e300]))
-    return join(header, weights.astype("<f8").tobytes())
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e300]))
+    weights[spots] = value
+    return join(header, weights.astype("<f8").tobytes()), bool(np.isnan(value))
 
 
 @pytest.mark.parametrize("kind", ["predictor", "denoiser"])
@@ -101,12 +102,12 @@ def damage(draw, raw: bytes):
 @given(data=st.data())
 def test_damaged_checkpoint_exits_cleanly(sources, kind, data):
     raw = (sources / f"{kind}.ckpt").read_bytes()
-    damaged = data.draw(damage(raw))
+    damaged, nan_weights = data.draw(damage(raw))
     with tempfile.TemporaryDirectory() as work:
         ckpt = Path(work) / "damaged.ckpt"
         ckpt.write_bytes(damaged)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(command(sources, kind, ckpt, Path(work) / "out"))
-    assert code in EXIT_CODES
+    assert code == 4 if nan_weights else code in EXIT_CODES
     assert "Traceback" not in err.getvalue()

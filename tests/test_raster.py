@@ -1,7 +1,8 @@
 """Rasterizer fast paths against the slow paths they replace.
 
-The segment-chunked distance field must equal a single pass over all
-segments to the bit, and the windowed compositing must equal full-canvas
+The tiled distance field must equal a single pass over all segments to the
+bit, coverage of a batch whose rows share geometry must equal one call per
+row to the bit, and the windowed compositing must equal full-canvas
 compositing to the bit inside the footprint window and within TAIL outside.
 """
 
@@ -10,7 +11,7 @@ import pytest
 
 from strokecraft.errors import ConfigError
 from strokecraft.strokes import fit_stroke, generate_visible_stroke
-from strokecraft.strokes import raster
+from strokecraft.strokes import fitting, raster
 from strokecraft.strokes.canvas import Canvas
 from strokecraft.strokes.model import BezierStroke, ParamRanges, generate_random_stroke
 from strokecraft.strokes.raster import (
@@ -58,13 +59,57 @@ def random_vectors(seed, count, side):
     return np.stack([generate_random_stroke(rng, ranges).vector for _ in range(count)])
 
 
+def per_row_coverage(vectors, height, width, samples, softness):
+    """Coverage rendered one stroke at a time, so no row shares a field."""
+    return np.concatenate([coverage_batch(v[None], height, width, samples, softness)
+                           for v in vectors])
+
+
+def probe_batches(z, side, iterations=3):
+    """The (24, 13) batches one _descend run scores, recorded as they are rendered."""
+    _, target, _ = generate_visible_stroke(np.random.default_rng(31), side)
+    ranges = ParamRanges.for_canvas(side)
+    batches = []
+
+    def recording(vectors, *args, **kwargs):
+        batches.append(np.array(vectors))
+        return coverage_batch(vectors, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "coverage_batch", recording)
+        fitting._descend(z.copy(), ranges, target.pixels, ranges, target.pixels, 1.6, 0.8,
+                         iterations, fitting.FIT_SAMPLES, np.inf, z.copy(), [])
+    return [b for b in batches if len(b) > 1]
+
+
 class TestChunkedDistanceField:
-    @pytest.mark.parametrize("budget", [1, 700, 5_000, 2**18, 2**30])
+    @pytest.mark.parametrize("budget", [1, 250, 700, 5_000, 2**13, 2**18, 2**30])
     def test_bit_equal_to_a_single_pass(self, budget, monkeypatch):
         monkeypatch.setattr(raster, "CHUNK_ELEMENTS", budget)
-        poly = polyline_points(random_vectors(1, 3, 20), 17)
-        np.testing.assert_array_equal(distance_field_batch(poly, 20, 20),
-                                      single_pass_field(poly, 20, 20))
+        for count, side in [(3, 20), (17, 16), (24, 32)]:
+            poly = polyline_points(random_vectors(1, count, side), 17)
+            np.testing.assert_array_equal(distance_field_batch(poly, side, side),
+                                          single_pass_field(poly, side, side))
+
+    @pytest.mark.parametrize("count, height, width", [(1, 32, 32), (24, 16, 16), (24, 32, 32),
+                                                      (5, 7, 130), (2, 120, 120)])
+    @pytest.mark.parametrize("budget", [1, 250, 2**13])
+    def test_temporaries_stay_within_the_budget(self, count, height, width, budget,
+                                                monkeypatch):
+        monkeypatch.setattr(raster, "CHUNK_ELEMENTS", budget)
+        sizes = []
+        kernel = raster._squared_distances
+
+        def spy(*args):
+            squared = kernel(*args)
+            sizes.append(squared.size)
+            return squared
+
+        monkeypatch.setattr(raster, "_squared_distances", spy)
+        poly = polyline_points(random_vectors(2, count, max(height, width)), 24)
+        distance_field_batch(poly, height, width)
+        assert sum(sizes) == count * 23 * height * width
+        assert max(sizes) <= max(budget, height * width)
 
     def test_zero_length_segments_are_point_distances(self, monkeypatch):
         monkeypatch.setattr(raster, "CHUNK_ELEMENTS", 3 * 12 * 12)
@@ -89,6 +134,36 @@ class TestChunkedDistanceField:
         vectors = random_vectors(4, 2, 30)
         window = coverage_batch(vectors, 6, 11, 16, 0.8, origin=(20, 3))
         np.testing.assert_array_equal(window, coverage_batch(vectors, 30, 30, 16, 0.8)[:, 20:26, 3:14])
+
+
+class TestSharedGeometry:
+    @pytest.mark.parametrize("fill", [0.5, 0.0, 1.0])
+    def test_descend_probe_batches_match_one_call_per_row(self, fill, monkeypatch):
+        z = np.random.default_rng(8).uniform(0.2, 0.8, size=13)
+        if fill != 0.5:  # clip the probes of half the coordinates, so some coincide
+            z[::2] = fill
+        batches = probe_batches(z, 16)
+        assert len(batches) == 3
+        fields = []
+        field = raster.distance_field_batch
+        monkeypatch.setattr(raster, "distance_field_batch",
+                            lambda poly, *a, **k: fields.append(len(poly)) or field(poly, *a, **k))
+        for vectors in batches:
+            fields.clear()
+            shared = coverage_batch(vectors, 16, 16, 24, 1.6)
+            assert fields == [len(np.unique(vectors[:, :8], axis=0))]
+            assert fields[0] == 17 if fill == 0.5 else fields[0] < 17
+            np.testing.assert_array_equal(shared, per_row_coverage(vectors, 16, 16, 24, 1.6))
+
+    def test_repeated_rows_with_zero_length_segments(self):
+        vectors = random_vectors(9, 6, 20)
+        vectors[0, :8] = np.tile([5.25, 7.5], 4)  # a single point
+        vectors[1, 2:6] = vectors[1, 0:2].tolist() * 2  # repeated start point
+        batch = vectors[[0, 1, 2, 0, 1, 3, 0, 4, 1, 5]].copy()
+        batch[:, 8:] = random_vectors(10, 10, 20)[:, 8:]  # own colour, opacity and width
+        shared = coverage_batch(batch, 20, 20, 9, 0.8)
+        assert np.isfinite(shared).all()
+        np.testing.assert_array_equal(shared, per_row_coverage(batch, 20, 20, 9, 0.8))
 
 
 class TestFootprintWindow:
