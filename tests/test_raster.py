@@ -146,8 +146,12 @@ class TestSharedGeometry:
         assert len(batches) == 3
         fields = []
         field = raster.distance_field_batch
-        monkeypatch.setattr(raster, "distance_field_batch",
-                            lambda poly, *a, **k: fields.append(len(poly)) or field(poly, *a, **k))
+
+        def counting(poly, *args, **kwargs):
+            fields.append(len(poly))
+            return field(poly, *args, **kwargs)
+
+        monkeypatch.setattr(raster, "distance_field_batch", counting)
         for vectors in batches:
             fields.clear()
             shared = coverage_batch(vectors, 16, 16, 24, 1.6)
