@@ -30,16 +30,18 @@ from .diffusion import (
     train_diffusion,
 )
 from .diffusion.verify import all_passed, verify_identities
-from .errors import ConfigError, DataIOError, StrokecraftError, VerificationError
+from .errors import ConfigError, DataIOError, NumericalError, StrokecraftError, VerificationError
 from .manifest import RunManifest
 from .metrics import DEFAULT_FOREGROUND_THRESHOLD, connected_regions, mse
 from .painting import MatchConfig, StrokePredictor, layered_paint, scene_source, train_predictor
-from .pixmap import read_pixmap, write_pixmap
+from .pixmap import quantize, read_pixmap, write_pixmap
 from .strokes.canvas import Canvas
 from .strokes.fitting import FIT_ITERATIONS, fit_stroke
 from .strokes.generate import MIN_CORE_PIXELS, generate_visible_stroke
 from .strokes.model import BezierStroke, save_strokes
 from .strokes.raster import rasterize_stroke
+
+BYTE_REGION_DRAWS = 100
 
 
 def flip_stroke_x(vector: np.ndarray, side: float) -> np.ndarray:
@@ -118,18 +120,9 @@ def _list_pixmaps(directory: Path) -> list[Path]:
     return files
 
 
-def run_gen_data(config: dict) -> RunManifest:
-    side = config["canvas_size"]
-    if side * side < MIN_CORE_PIXELS:
-        raise ConfigError(f"a {side}x{side} canvas cannot hold the {MIN_CORE_PIXELS}-pixel "
-                          "stroke core every image needs")
-    out = _out_dir(config)
-    rng = np.random.default_rng(config["seed"])
-    channels = 1 if config["gray"] else 3
-    suffix = ".pgm" if channels == 1 else ".ppm"
-    strokes = []
-    outputs = {}
-    for i in range(config["count"]):
+def _draw_augmented(rng, side: int, channels: int, config: dict) -> tuple[BezierStroke, Canvas]:
+    """A visible stroke, flipped and turned as the config asks, still one region as bytes."""
+    for _ in range(BYTE_REGION_DRAWS):
         stroke, canvas, _ = generate_visible_stroke(rng, side, channels=channels)
         vec = stroke.vector
         if config["flips"]:
@@ -143,6 +136,25 @@ def run_gen_data(config: dict) -> RunManifest:
         stroke = BezierStroke(vec)
         if config["flips"] or config["rotations"]:
             canvas, _ = rasterize_stroke(stroke, side, channels=channels)
+        # acceptance judged float pixels; rounding to bytes can split or erase a faint region
+        if connected_regions(quantize(canvas.pixels) / 255.0).region_count == 1:
+            return stroke, canvas
+    raise NumericalError(f"no stroke stayed one region at 8 bits in {BYTE_REGION_DRAWS} draws")
+
+
+def run_gen_data(config: dict) -> RunManifest:
+    side = config["canvas_size"]
+    if side * side < MIN_CORE_PIXELS:
+        raise ConfigError(f"a {side}x{side} canvas cannot hold the {MIN_CORE_PIXELS}-pixel "
+                          "stroke core every image needs")
+    out = _out_dir(config)
+    rng = np.random.default_rng(config["seed"])
+    channels = 1 if config["gray"] else 3
+    suffix = ".pgm" if channels == 1 else ".ppm"
+    strokes = []
+    outputs = {}
+    for i in range(config["count"]):
+        stroke, canvas = _draw_augmented(rng, side, channels, config)
         name = f"stroke_{i:03d}{suffix}"
         write_pixmap(out / name, canvas)
         outputs[f"image_{i:03d}"] = name

@@ -2,8 +2,10 @@
 
 Region counting separates foreground from background by comparing luminance
 against the median border pixel, then labels the foreground with 8-neighbor
-connectivity.  The result is a partition of the foreground, invariant to pixel
-scan order up to label renaming.
+connectivity. Labelling works on whole arrays: every neighbour pair hooks the
+larger of its two roots onto the smaller, pointer jumping flattens the trees,
+and rounds repeat until no pair spans two trees. Each region's root is then
+its first pixel in raster order, and regions are numbered in that order.
 """
 
 from __future__ import annotations
@@ -58,59 +60,38 @@ class CrdResult:
 
 
 def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """Two-pass union-find labeling with 8-connectivity; labels start at 1."""
+    """8-connected regions labelled 1..count in order of their first raster pixel.
+
+    Hook-and-compress (Shiloach and Vishkin 1982) over flat pixel indices,
+    as the module notes describe.
+    """
+    mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int64)
-    parent: list[int] = [0]
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    next_label = 1
-    for i in range(h):
-        row = mask[i]
-        for j in range(w):
-            if not row[j]:
-                continue
-            neighbors = []
-            if j > 0 and labels[i, j - 1]:
-                neighbors.append(labels[i, j - 1])
-            if i > 0:
-                if labels[i - 1, j]:
-                    neighbors.append(labels[i - 1, j])
-                if j > 0 and labels[i - 1, j - 1]:
-                    neighbors.append(labels[i - 1, j - 1])
-                if j + 1 < w and labels[i - 1, j + 1]:
-                    neighbors.append(labels[i - 1, j + 1])
-            if not neighbors:
-                labels[i, j] = next_label
-                parent.append(next_label)
-                next_label += 1
-            else:
-                keep = min(neighbors)
-                labels[i, j] = keep
-                for other in neighbors:
-                    union(keep, other)
-
-    remap: dict[int, int] = {}
-    count = 0
-    for i in range(h):
-        for j in range(w):
-            if labels[i, j]:
-                root = find(labels[i, j])
-                if root not in remap:
-                    count += 1
-                    remap[root] = count
-                labels[i, j] = remap[root]
-    return labels, count
+    flat = np.arange(h * w)
+    index = flat.reshape(h, w)
+    u_parts, v_parts = [], []
+    # each 8-neighbour pair once: right, down, down-right and down-left
+    for a, b in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1, :], np.s_[1:, :]),
+                 (np.s_[:-1, :-1], np.s_[1:, 1:]), (np.s_[:-1, 1:], np.s_[1:, :-1])):
+        both = mask[a] & mask[b]
+        u_parts.append(index[a][both])
+        v_parts.append(index[b][both])
+    u, v = np.concatenate(u_parts), np.concatenate(v_parts)
+    parent = flat.copy()
+    while True:
+        ru, rv = parent[u], parent[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+    is_root = mask.ravel() & (parent == flat)
+    number = np.cumsum(is_root)
+    labels = np.where(mask.ravel(), number[parent], 0).reshape(h, w)
+    return labels, int(is_root.sum())
 
 
 def connected_regions(

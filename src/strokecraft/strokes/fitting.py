@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..metrics import LUMA_WEIGHTS, background_value, luminance
+from ..metrics import LUMA_WEIGHTS, foreground_mask, luminance
 from .canvas import Canvas
 from .model import PARAM_COUNT, BezierStroke, ParamRanges, max_opacity_equivalent
 from .raster import DEFAULT_SOFTNESS, coverage_batch
@@ -70,15 +70,14 @@ def _batch_loss(zs, ranges, target, samples, softness):
 
 
 def _foreground(pixels, threshold):
-    v = luminance(pixels)
-    bg = background_value(v)
-    mask = np.abs(v - bg) > threshold
+    mask, bg = foreground_mask(pixels, threshold)
     if not mask.any():
         raise ConfigError("fit target has no foreground above the threshold")
-    return mask, v, bg
+    return mask, bg
 
 
-def _color_at_deepest(pixels, v, bg, ys, xs):
+def _color_at_deepest(pixels, bg, ys, xs):
+    v = luminance(pixels)
     deep = np.argmax(np.abs(v[ys, xs] - bg))
     if pixels.ndim == 3 and pixels.shape[2] == 3:
         return pixels[ys[deep], xs[deep]] * 255.0
@@ -93,7 +92,7 @@ def _finish_guess(ranges, p0, p1, p2, p3, color, width):
 def _initial_guess(target, ranges, threshold):
     """Straight-chord start: endpoints at the principal-axis extremes."""
     pixels = target if isinstance(target, np.ndarray) else target.pixels
-    mask, v, bg = _foreground(pixels, threshold)
+    mask, bg = _foreground(pixels, threshold)
     ys, xs = np.nonzero(mask)
     pts = np.stack([xs + 0.5, ys + 0.5], axis=1).astype(float)
     centered = pts - pts.mean(axis=0)
@@ -105,7 +104,7 @@ def _initial_guess(target, ranges, threshold):
     p2 = e0 + 2.0 * (e1 - e0) / 3.0
     chord = float(np.hypot(*(e1 - e0)))
     width = max(1.0, mask.sum() / max(chord, 1.0))
-    color = _color_at_deepest(pixels, v, bg, ys, xs)
+    color = _color_at_deepest(pixels, bg, ys, xs)
     return _finish_guess(ranges, e0, p1, p2, e1, color, width)
 
 
@@ -138,7 +137,7 @@ def _spine_guess(target, ranges, threshold):
     foreground bounding box.
     """
     pixels = target if isinstance(target, np.ndarray) else target.pixels
-    mask, v, bg = _foreground(pixels, threshold)
+    mask, bg = _foreground(pixels, threshold)
     ys, xs = np.nonzero(mask)
     tip_a, _ = _farthest_from(mask, (int(ys[0]), int(xs[0])))
     tip_b, parent = _farthest_from(mask, tip_a)
@@ -158,7 +157,7 @@ def _spine_guess(target, ranges, threshold):
     p1 = np.clip(p1, lo, hi)
     p2 = np.clip(p2, lo, hi)
     width = max(1.0, mask.sum() / max(n, 1.0))
-    color = _color_at_deepest(pixels, v, bg, ys, xs)
+    color = _color_at_deepest(pixels, bg, ys, xs)
     return _finish_guess(ranges, q0, p1, p2, q3, color, width)
 
 

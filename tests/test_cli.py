@@ -6,12 +6,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from strokecraft import nn
-from strokecraft.cli import flip_stroke_x, flip_stroke_y, main, rotate_stroke_ccw
+from strokecraft.cli import (
+    BYTE_REGION_DRAWS,
+    flip_stroke_x,
+    flip_stroke_y,
+    main,
+    rotate_stroke_ccw,
+)
 from strokecraft.manifest import RunManifest
 from strokecraft.metrics import connected_regions, mse
 from strokecraft.painting import StrokePredictor, layered_paint
@@ -141,6 +148,30 @@ class TestGenData:
             assert main(["gen-data", "--count", count, "--canvas-size", "16",
                          "--seed", "1", "--out", str(out)]) == 2
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--count", "64", "--canvas-size", "32", "--seed", "8"],
+        ["--count", "64", "--canvas-size", "16", "--gray", "--flips", "--rotations",
+         "--seed", "11"],
+    ], ids=["rgb-32", "gray-16-augmented"])
+    def test_every_written_file_holds_one_region(self, tmp_path, argv):
+        # these seeds once drew strokes that 8-bit rounding split or erased
+        out = tmp_path / "data"
+        assert main(["gen-data", *argv, "--out", str(out)]) == 0
+        for path in sorted(out.glob("stroke_*")):
+            assert connected_regions(read_pixmap(path).pixels).region_count == 1, path.name
+
+    def test_redraws_are_bounded_and_exit_four(self, tmp_path, monkeypatch):
+        checks = []
+
+        def never_one_region(pixels):
+            checks.append(1)
+            return SimpleNamespace(region_count=2)
+
+        monkeypatch.setattr("strokecraft.cli.connected_regions", never_one_region)
+        assert main(["gen-data", "--count", "1", "--canvas-size", "16", "--gray",
+                     "--seed", "1", "--out", str(tmp_path / "never")]) == 4
+        assert len(checks) == BYTE_REGION_DRAWS
 
     def test_canvas_too_small_for_a_core_is_refused_before_drawing(self, tmp_path, monkeypatch):
         draws = []
@@ -373,7 +404,11 @@ class TestReplay:
         (["paint", "--target", "{ws}/data/stroke_000.ppm",
           "--predictor", "{ws}/ptrain/predictor.ckpt", "--layers", "2"],
          ["final.ppm", "layer_00.ppm", "layer_01.ppm", "strokes.json"]),
-    ], ids=["sample", "fit-stroke", "paint"])
+        (["verify-math", "--steps", "50", "--mc-draws", "2000", "--seed", "7"],
+         ["identities.csv"]),
+        (["train-diffusion", "--data", "{ws}/data16", "--steps", "16", "--epochs", "2",
+          "--prior-pairs", "2", "--seed", "8"], ["denoiser.ckpt", "loss_history.csv"]),
+    ], ids=["sample", "fit-stroke", "paint", "verify-math", "train-diffusion"])
     def test_replay_is_byte_identical(self, workspace, tmp_path, argv, names):
         first, second = tmp_path / "first", tmp_path / "second"
         argv = [a.format(ws=workspace) for a in argv]

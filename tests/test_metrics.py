@@ -1,8 +1,11 @@
 """Region counting against a flood-fill oracle, plus MSE and mask IoU."""
 
+import math
+
 import numpy as np
 import pytest
 
+from strokecraft import metrics
 from strokecraft.errors import ConfigError
 from strokecraft.metrics import (
     LUMA_WEIGHTS,
@@ -45,19 +48,117 @@ def flood_fill_labels(mask):
     return labels, count
 
 
-def same_partition(labels_a, labels_b):
-    """True when two labelings induce the same pixel partition."""
-    pairs = set(zip(labels_a.ravel().tolist(), labels_b.ravel().tolist()))
-    a_to_b = {}
-    b_to_a = {}
-    for a, b in pairs:
-        if (a == 0) != (b == 0):
-            return False
-        if a == 0:
+def spiral(n):
+    """A one-pixel square spiral wound inward, turns one pixel apart: one long path."""
+    mask = np.zeros((n, n), dtype=bool)
+    i, j, di, dj = 0, 0, 0, 1
+    mask[0, 0] = True
+    while True:
+        for _ in range(2):
+            ni, nj = i + di, j + dj
+            ahead = (i + 2 * di, j + 2 * dj)
+            if (0 <= ni < n and 0 <= nj < n and not mask[ni, nj]
+                    and not (0 <= ahead[0] < n and 0 <= ahead[1] < n and mask[ahead])):
+                i, j = ni, nj
+                mask[i, j] = True
+                break
+            di, dj = dj, -di
+        else:
+            return mask
+
+
+def serpentine(n):
+    """One-pixel rows joined at alternating ends: one path of about n²/2 pixels."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[::2] = True
+    for i in range(1, n, 2):
+        mask[i, -1 if i % 4 == 1 else 0] = True
+    return mask
+
+
+def reversed_comb(n):
+    """Teeth rising from a spine along the bottom row; the first pixel is a tooth tip."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:, ::2] = True
+    mask[-1] = True
+    return mask
+
+
+def maze(n, seed=0):
+    """A spanning-tree maze carved by depth-first search on odd cells."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[1, 1] = True
+    stack = [(1, 1)]
+    while stack:
+        i, j = stack[-1]
+        steps = [(di, dj) for di, dj in ((-2, 0), (2, 0), (0, -2), (0, 2))
+                 if 0 < i + di < n - 1 and 0 < j + dj < n - 1 and not mask[i + di, j + dj]]
+        if not steps:
+            stack.pop()
             continue
-        if a_to_b.setdefault(a, b) != b or b_to_a.setdefault(b, a) != a:
-            return False
-    return True
+        di, dj = steps[rng.integers(len(steps))]
+        mask[i + di // 2, j + dj // 2] = mask[i + di, j + dj] = True
+        stack.append((i + di, j + dj))
+    return mask
+
+
+def diagonals(n):
+    """Parallel one-pixel diagonals three columns apart: many chains, no contact."""
+    i, j = np.indices((n, n))
+    return (j - i) % 3 == 0
+
+
+def antidiagonals(n):
+    """Down-left chains, joined only through the down-left neighbour."""
+    i, j = np.indices((n, n))
+    return (i + j) % 3 == 0
+
+
+ADVERSARIAL_MASKS = {
+    "spiral-128": lambda: spiral(128),
+    "serpentine-256": lambda: serpentine(256),
+    "reversed-comb-128": lambda: reversed_comb(128),
+    "maze-255": lambda: maze(255),
+    "diagonals-64": lambda: diagonals(64),
+    "antidiagonals-64": lambda: antidiagonals(64),
+    "row-1x256": lambda: np.ones((1, 256), dtype=bool),
+    "column-256x1": lambda: np.ones((256, 1), dtype=bool),
+    "full-256": lambda: np.ones((256, 256), dtype=bool),
+    "empty-256": lambda: np.zeros((256, 256), dtype=bool),
+}
+
+
+class CountingMinimum:
+    """``np.minimum`` that counts its ``at`` calls, the labeller's hook rounds."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __call__(self, *args, **kwargs):
+        return np.minimum(*args, **kwargs)
+
+    def at(self, *args):
+        self.rounds += 1
+        return np.minimum.at(*args)
+
+
+class NumpyWith:
+    """numpy with some attributes replaced, to stand in for ``metrics.np``."""
+
+    def __init__(self, **overrides):
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def assert_labels_match_flood_fill(mask):
+    labels, count = label_components(mask)
+    oracle_labels, oracle_count = flood_fill_labels(mask)
+    assert labels.dtype == np.int64
+    assert count == oracle_count
+    np.testing.assert_array_equal(labels, oracle_labels)
 
 
 def test_luminance_channel_weights():
@@ -109,7 +210,7 @@ def test_two_separated_squares():
     mask, _ = foreground_mask(img)
     oracle_labels, oracle_count = flood_fill_labels(mask)
     assert oracle_count == 2
-    assert same_partition(result.labels, oracle_labels)
+    np.testing.assert_array_equal(result.labels, oracle_labels)
 
 
 def test_diagonal_pixels_connect():
@@ -134,11 +235,16 @@ def test_labeling_matches_flood_fill_on_random_masks():
     for _ in range(300):
         h = int(rng.integers(1, 24))
         w = int(rng.integers(1, 24))
-        mask = rng.random((h, w)) < rng.uniform(0.05, 0.95)
-        labels, count = label_components(mask)
-        oracle_labels, oracle_count = flood_fill_labels(mask)
-        assert count == oracle_count
-        assert same_partition(labels, oracle_labels)
+        assert_labels_match_flood_fill(rng.random((h, w)) < rng.uniform(0.05, 0.95))
+
+
+@pytest.mark.parametrize("make", ADVERSARIAL_MASKS.values(), ids=ADVERSARIAL_MASKS.keys())
+def test_labeling_matches_flood_fill_on_adversarial_masks(make, monkeypatch):
+    mask = make()
+    minimum = CountingMinimum()
+    monkeypatch.setattr(metrics, "np", NumpyWith(minimum=minimum))
+    assert_labels_match_flood_fill(mask)
+    assert minimum.rounds <= math.ceil(math.log2(max(mask.size, 2)))
 
 
 def test_labeling_matches_flood_fill_on_stroke_images():
@@ -149,8 +255,9 @@ def test_labeling_matches_flood_fill_on_stroke_images():
         canvas, _ = rasterize_stroke(stroke, (48, 48))
         result = connected_regions(canvas.pixels)
         mask, _ = foreground_mask(canvas.pixels)
-        _, oracle_count = flood_fill_labels(mask)
+        oracle_labels, oracle_count = flood_fill_labels(mask)
         assert result.region_count == oracle_count
+        np.testing.assert_array_equal(result.labels, oracle_labels)
 
 
 def test_mse_basics():
