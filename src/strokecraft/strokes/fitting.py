@@ -57,16 +57,23 @@ def _batch_loss(zs, ranges, target, samples, softness):
     """MSE against ``target`` pixels for a batch of normalized parameter rows."""
     vectors = ranges.denormalize(zs)
     cov = coverage_batch(vectors, target.shape[0], target.shape[1], samples, softness)
+    # one loss-sized buffer, updated in place: freeing several per call let
+    # glibc trim the heap top and fault the pages in again on the next call,
+    # up to 7x the page faults depending on where earlier allocations landed
     if target.ndim == 3 and target.shape[2] == 3:
         color = vectors[:, 8:11, None, None] / 255.0
-        rendered = 1.0 + cov[:, None] * (color - 1.0)
-        diff = rendered - target.transpose(2, 0, 1)[None]
+        diff = cov[:, None] * (color - 1.0)
+        diff += 1.0
+        diff -= target.transpose(2, 0, 1)[None]
     else:
         flat = target if target.ndim == 2 else target[..., 0]
         luma = vectors[:, 8:11] @ LUMA_WEIGHTS / 255.0
-        rendered = 1.0 + cov * (luma[:, None, None] - 1.0)
-        diff = (rendered - flat[None])[:, None]
-    return np.mean(diff * diff, axis=(1, 2, 3))
+        diff = cov * (luma[:, None, None] - 1.0)
+        diff += 1.0
+        diff -= flat[None]
+        diff = diff[:, None]
+    diff *= diff
+    return np.mean(diff, axis=(1, 2, 3))
 
 
 def _foreground(pixels, threshold):
