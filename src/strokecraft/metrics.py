@@ -62,8 +62,7 @@ class CrdResult:
 def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
     """8-connected regions labelled 1..count in order of their first raster pixel.
 
-    Hook-and-compress (Shiloach and Vishkin 1982) over flat pixel indices,
-    as the module notes describe.
+    Hook-and-compress over flat pixel indices (Shiloach and Vishkin 1982).
     """
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape

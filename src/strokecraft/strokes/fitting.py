@@ -57,9 +57,8 @@ def _batch_loss(zs, ranges, target, samples, softness):
     """MSE against ``target`` pixels for a batch of normalized parameter rows."""
     vectors = ranges.denormalize(zs)
     cov = coverage_batch(vectors, target.shape[0], target.shape[1], samples, softness)
-    # one loss-sized buffer, updated in place: freeing several per call let
-    # glibc trim the heap top and fault the pages in again on the next call,
-    # up to 7x the page faults depending on where earlier allocations landed
+    # one buffer updated in place: freeing several of this size per call let glibc
+    # trim the heap and fault the pages in again, 7x the faults on some heap layouts
     if target.ndim == 3 and target.shape[2] == 3:
         color = vectors[:, 8:11, None, None] / 255.0
         diff = cov[:, None] * (color - 1.0)
