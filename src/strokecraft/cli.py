@@ -120,8 +120,12 @@ def _list_pixmaps(directory: Path) -> list[Path]:
     return files
 
 
-def _draw_augmented(rng, side: int, channels: int, config: dict) -> tuple[BezierStroke, Canvas]:
-    """A visible stroke, flipped and turned as the config asks, still one region as bytes."""
+def _draw_augmented(rng, side: int, channels: int, config: dict
+                    ) -> tuple[BezierStroke, np.ndarray]:
+    """A visible stroke, flipped and turned as the config asks, and its 8-bit pixels.
+
+    The stroke is redrawn until those pixels hold one region.
+    """
     for _ in range(BYTE_REGION_DRAWS):
         stroke, canvas, _ = generate_visible_stroke(rng, side, channels=channels)
         vec = stroke.vector
@@ -137,8 +141,9 @@ def _draw_augmented(rng, side: int, channels: int, config: dict) -> tuple[Bezier
         if config["flips"] or config["rotations"]:
             canvas, _ = rasterize_stroke(stroke, side, channels=channels)
         # acceptance judged float pixels; rounding to bytes can split or erase a faint region
-        if connected_regions(quantize(canvas.pixels) / 255.0).region_count == 1:
-            return stroke, canvas
+        image = quantize(canvas.pixels)
+        if connected_regions(image / 255.0).region_count == 1:
+            return stroke, image
     raise NumericalError(f"no stroke stayed one region at 8 bits in {BYTE_REGION_DRAWS} draws")
 
 
@@ -147,19 +152,18 @@ def run_gen_data(config: dict) -> RunManifest:
     if side * side < MIN_CORE_PIXELS:
         raise ConfigError(f"a {side}x{side} canvas cannot hold the {MIN_CORE_PIXELS}-pixel "
                           "stroke core every image needs")
-    out = _out_dir(config)
     rng = np.random.default_rng(config["seed"])
     channels = 1 if config["gray"] else 3
     suffix = ".pgm" if channels == 1 else ".ppm"
-    strokes = []
+    # every draw comes before the first write, so a failed draw leaves no partial dataset
+    drawn = [_draw_augmented(rng, side, channels, config) for _ in range(config["count"])]
+    out = _out_dir(config)
     outputs = {}
-    for i in range(config["count"]):
-        stroke, canvas = _draw_augmented(rng, side, channels, config)
+    for i, (_, image) in enumerate(drawn):
         name = f"stroke_{i:03d}{suffix}"
-        write_pixmap(out / name, canvas)
+        write_pixmap(out / name, Canvas(image / 255.0))
         outputs[f"image_{i:03d}"] = name
-        strokes.append(stroke)
-    save_strokes(out / "params.json", strokes)
+    save_strokes(out / "params.json", [stroke for stroke, _ in drawn])
     outputs["parameters"] = "params.json"
     return _save_manifest("gen-data", config, out, outputs)
 
@@ -344,34 +348,60 @@ def run_replay(config: dict) -> RunManifest:
     manifest = RunManifest.load(config["manifest"])
     if manifest.command not in RUNNERS:
         raise DataIOError(f"manifest names unknown command {manifest.command!r}")
-    keys = _config_keys(manifest.command)
+    actions = _config_keys(manifest.command)
     # Keys of flags since removed (sample's eta_mode and prior_mode) are dropped.
-    replayed = {k: v for k, v in manifest.config.items() if k in keys}
+    replayed = {k: v for k, v in manifest.config.items() if k in actions}
     if config["out"] is not None:
         replayed["out"] = config["out"]
-    missing = sorted(keys - replayed.keys())
+    missing = sorted(actions.keys() - replayed.keys())
     if missing:
         raise DataIOError(f"manifest config for {manifest.command} lacks {', '.join(missing)}")
+    for key, action in actions.items():
+        if not _parses_as(action, replayed[key]):
+            raise DataIOError(f"manifest config for {manifest.command} has a {key} that "
+                              f"{action.option_strings[0]} does not take: {replayed[key]!r}")
     _check_minimums(manifest.command, replayed)
     return RUNNERS[manifest.command](replayed)
 
 
-def _config_keys(command: str) -> set[str]:
+def _config_keys(command: str) -> dict[str, argparse.Action]:
     """The config keys a command's runner reads: the destinations of its flags."""
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in commands.choices[command]._actions if a.dest != "help"}
+    return {a.dest: a for a in commands.choices[command]._actions if a.dest != "help"}
 
 
-# Smallest accepted value of each count, size, epoch, step and layer flag.
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parses_as(action: argparse.Action, value) -> bool:
+    """Whether a recorded config value is one the flag's parser could have produced."""
+    if action.type is _lambda_triple:
+        return isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
+    if isinstance(action, argparse._StoreTrueAction):
+        return isinstance(value, bool)
+    if action.type is int:
+        typed = isinstance(value, int) and not isinstance(value, bool)
+    elif action.type is float:
+        typed = _is_number(value)
+    else:  # paths and names; argv cannot carry a NUL byte
+        typed = (isinstance(value, str) and "\0" not in value
+                 or value is None and not action.required and action.default is None)
+    return typed and (action.choices is None or value in action.choices)
+
+
+# Smallest accepted value of each count, size, epoch, step and layer flag, and of
+# every seed that seeds a generator.
 MINIMUMS = {
-    "gen-data": {"count": 1, "canvas_size": 1},
-    "verify-math": {"steps": 1, "mc_draws": 1},
-    "train-diffusion": {"steps": 1, "prior_pairs": 1, "epochs": 1, "batch_size": 1},
-    "sample": {"count": 1, "canvas_size": 1, "steps": 1},
+    "gen-data": {"count": 1, "canvas_size": 1, "seed": 0},
+    "verify-math": {"steps": 1, "mc_draws": 1, "seed": 0},
+    "train-diffusion": {"steps": 1, "prior_pairs": 1, "epochs": 1, "batch_size": 1,
+                        "seed": 0},
+    "sample": {"count": 1, "canvas_size": 1, "steps": 1, "seed": 0},
     "fit-stroke": {"iterations": 1},
     "train-predictor": {"canvas_size": 1, "min_strokes": 1, "max_strokes": 1, "slots": 1,
-                        "epochs": 1, "scenes_per_epoch": 1, "holdout_scenes": 0},
+                        "epochs": 1, "scenes_per_epoch": 1, "holdout_scenes": 0, "seed": 0},
     "paint": {"layers": 1},
 }
 

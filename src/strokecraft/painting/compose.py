@@ -10,7 +10,7 @@ from ..errors import ConfigError
 from ..metrics import mse
 from ..strokes.canvas import Canvas
 from ..strokes.model import BezierStroke
-from ..strokes.raster import DEFAULT_SAMPLES, DEFAULT_SOFTNESS, compose_over
+from ..strokes.raster import compose_over
 from .losses import StrokePrediction
 from .predictor import StrokePredictor, predict_strokes
 
@@ -60,12 +60,11 @@ def order_strokes(placed: list[PlacedStroke], threshold: float = 0.5) -> list[Pl
     return sorted(kept, key=lambda p: p.scr_r)
 
 
-def composite(base: Canvas, placed: list[PlacedStroke], *, threshold: float = 0.5,
-              samples: int = DEFAULT_SAMPLES, softness: float = DEFAULT_SOFTNESS) -> Canvas:
+def composite(base: Canvas, placed: list[PlacedStroke], *, threshold: float = 0.5) -> Canvas:
     """Alpha-over fold of the kept strokes in drawing order."""
     out = base.copy()
     for item in order_strokes(placed, threshold):
-        out = compose_over(out, item.stroke, samples, softness)
+        out = compose_over(out, item.stroke)
     return out
 
 
@@ -131,8 +130,7 @@ class PaintResult:
 
 
 def layered_paint(target: Canvas, predictor: StrokePredictor, layers: int, *,
-                  threshold: float = 0.5, samples: int = DEFAULT_SAMPLES,
-                  softness: float = DEFAULT_SOFTNESS) -> PaintResult:
+                  threshold: float = 0.5) -> PaintResult:
     """Coarse-to-fine painting over a 2^k x 2^k patch grid per layer.
 
     The working canvas starts white, padded so every patch resizes to the
@@ -170,8 +168,7 @@ def layered_paint(target: Canvas, predictor: StrokePredictor, layers: int, *,
                     preds, patch, origin=(col * patch, row * patch),
                     layer=layer, patch=(row, col),
                 ))
-        current = composite(current, placed, threshold=threshold, samples=samples,
-                            softness=softness)
+        current = composite(current, placed, threshold=threshold)
         result.strokes.extend(order_strokes(placed, threshold))
         cropped = Canvas(current.pixels[: target.height, : target.width].copy())
         result.intermediates.append(cropped)

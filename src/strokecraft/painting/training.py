@@ -11,16 +11,17 @@ from ..errors import ConfigError, NumericalError
 from ..strokes.canvas import Canvas
 from ..strokes.generate import generate_visible_stroke
 from ..strokes.model import PARAM_COUNT
-from ..strokes.raster import DEFAULT_SAMPLES, DEFAULT_SOFTNESS, compose_over, polyline_points
+from ..strokes.raster import DEFAULT_SAMPLES, compose_over, polyline_points
 from .losses import GroundTruthStroke, MatchConfig
 from .predictor import StrokePredictor, forward_loss, loss_and_grad
 
 DEFAULT_SCENE_SIDE = 32
 
 
-def stroke_centroid(vector: np.ndarray, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
+def stroke_centroid(vector: np.ndarray) -> np.ndarray:
     """Mean (x, y) of the stroke's sampled spine."""
-    return polyline_points(np.asarray(vector, dtype=np.float64)[None], samples)[0].mean(axis=0)
+    return polyline_points(np.asarray(vector, dtype=np.float64)[None],
+                           DEFAULT_SAMPLES)[0].mean(axis=0)
 
 
 def ground_truth_from_stroke(vector: np.ndarray, side: float, order_index: int,
@@ -44,7 +45,6 @@ def ground_truth_from_stroke(vector: np.ndarray, side: float, order_index: int,
 
 def make_scene(rng: np.random.Generator, side: int = DEFAULT_SCENE_SIDE, *,
                min_strokes: int = 1, max_strokes: int = 8, channels: int = 3,
-               samples: int = DEFAULT_SAMPLES, softness: float = DEFAULT_SOFTNESS,
                ) -> tuple[Canvas, Canvas, list[GroundTruthStroke]]:
     """One training scene: white current canvas, painted target, ordered truth.
 
@@ -55,26 +55,24 @@ def make_scene(rng: np.random.Generator, side: int = DEFAULT_SCENE_SIDE, *,
         raise ConfigError(f"bad stroke count bounds [{min_strokes}, {max_strokes}]")
     count = int(rng.integers(min_strokes, max_strokes + 1))
     strokes = [
-        generate_visible_stroke(rng, side, channels=channels, identifiable_iou=None,
-                                samples=samples, softness=softness)[0]
+        generate_visible_stroke(rng, side, channels=channels, identifiable_iou=None)[0]
         for _ in range(count)
     ]
     strokes.sort(key=lambda s: float(sum(stroke_centroid(s.vector))))
     target = Canvas.white((side, side), channels)
     gts = []
     for index, stroke in enumerate(strokes, start=1):
-        target = compose_over(target, stroke, samples, softness)
+        target = compose_over(target, stroke)
         gts.append(ground_truth_from_stroke(stroke.vector, side, index))
     return Canvas.white((side, side), channels), target, gts
 
 
 def scene_source(side: int = DEFAULT_SCENE_SIDE, *, min_strokes: int = 1,
-                 max_strokes: int = 8, channels: int = 3,
-                 samples: int = DEFAULT_SAMPLES, softness: float = DEFAULT_SOFTNESS):
+                 max_strokes: int = 8, channels: int = 3):
     """A generator callable for train_predictor with the sampling knobs bound."""
     def source(rng: np.random.Generator):
         return make_scene(rng, side, min_strokes=min_strokes, max_strokes=max_strokes,
-                          channels=channels, samples=samples, softness=softness)
+                          channels=channels)
     return source
 
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..metrics import LUMA_WEIGHTS, foreground_mask, luminance
+from ..metrics import DEFAULT_FOREGROUND_THRESHOLD, LUMA_WEIGHTS, foreground_mask, luminance
 from .canvas import Canvas
-from .model import PARAM_COUNT, BezierStroke, ParamRanges, max_opacity_equivalent
+from .model import PARAM_COUNT, BezierStroke, ParamRanges
 from .raster import DEFAULT_SOFTNESS, coverage_batch
 
 FIT_SAMPLES = 24
@@ -53,10 +53,10 @@ class FitResult:
     history: np.ndarray
 
 
-def _batch_loss(zs, ranges, target, samples, softness):
+def _batch_loss(zs, ranges, target, softness):
     """MSE against ``target`` pixels for a batch of normalized parameter rows."""
     vectors = ranges.denormalize(zs)
-    cov = coverage_batch(vectors, target.shape[0], target.shape[1], samples, softness)
+    cov = coverage_batch(vectors, target.shape[0], target.shape[1], FIT_SAMPLES, softness)
     # one buffer updated in place: freeing several of this size per call let glibc
     # trim the heap and fault the pages in again, 7x the faults on some heap layouts
     if target.ndim == 3 and target.shape[2] == 3:
@@ -75,8 +75,8 @@ def _batch_loss(zs, ranges, target, samples, softness):
     return np.mean(diff, axis=(1, 2, 3))
 
 
-def _foreground(pixels, threshold):
-    mask, bg = foreground_mask(pixels, threshold)
+def _foreground(pixels):
+    mask, bg = foreground_mask(pixels, DEFAULT_FOREGROUND_THRESHOLD)
     if not mask.any():
         raise ConfigError("fit target has no foreground above the threshold")
     return mask, bg
@@ -95,10 +95,9 @@ def _finish_guess(ranges, p0, p1, p2, p3, color, width):
     return np.clip(ranges.normalize(ranges.clamp(vec)), 0.0, 1.0)
 
 
-def _initial_guess(target, ranges, threshold):
+def _initial_guess(pixels, ranges):
     """Straight-chord start: endpoints at the principal-axis extremes."""
-    pixels = target if isinstance(target, np.ndarray) else target.pixels
-    mask, bg = _foreground(pixels, threshold)
+    mask, bg = _foreground(pixels)
     ys, xs = np.nonzero(mask)
     pts = np.stack([xs + 0.5, ys + 0.5], axis=1).astype(float)
     centered = pts - pts.mean(axis=0)
@@ -134,7 +133,7 @@ def _farthest_from(mask, start):
     return far, parent
 
 
-def _spine_guess(target, ranges, threshold):
+def _spine_guess(pixels, ranges):
     """Start from the foreground's geodesic diameter path.
 
     Two BFS passes find the two tips of the painted region even when the
@@ -142,8 +141,7 @@ def _spine_guess(target, ranges, threshold):
     gives the control polygon. Interpolated handles are clipped into the
     foreground bounding box.
     """
-    pixels = target if isinstance(target, np.ndarray) else target.pixels
-    mask, bg = _foreground(pixels, threshold)
+    mask, bg = _foreground(pixels)
     ys, xs = np.nonzero(mask)
     tip_a, _ = _farthest_from(mask, (int(ys[0]), int(xs[0])))
     tip_b, parent = _farthest_from(mask, tip_a)
@@ -167,8 +165,8 @@ def _spine_guess(target, ranges, threshold):
     return _finish_guess(ranges, q0, p1, p2, q3, color, width)
 
 
-def _descend(z, grad_ranges, grad_target, ranges, target, grad_softness, final_softness,
-             iterations, samples, best, best_z, history,
+def _descend(z, grad_ranges, grad_target, ranges, target, grad_softness,
+             iterations, best, best_z, history,
              step_init=_STEP_INIT, step_max=_STEP_MAX):
     """Sign-step descent with per-coordinate step adaptation on the free dims."""
     n_free = len(_FREE_DIMS)
@@ -180,7 +178,7 @@ def _descend(z, grad_ranges, grad_target, ranges, target, grad_softness, final_s
         plus = np.clip(z[None] + _FD_STEP * probes, 0.0, 1.0)
         minus = np.clip(z[None] - _FD_STEP * probes, 0.0, 1.0)
         losses = _batch_loss(np.concatenate([plus, minus]), grad_ranges, grad_target,
-                             samples, grad_softness)
+                             grad_softness)
         gaps = plus[idx, _FREE_DIMS] - minus[idx, _FREE_DIMS]
         grad = (losses[:n_free] - losses[n_free:]) / np.where(gaps > 0, gaps, 1.0)
         sign = np.sign(grad)
@@ -190,7 +188,7 @@ def _descend(z, grad_ranges, grad_target, ranges, target, grad_softness, final_s
         steps[held] = np.minimum(steps[held] * _STEP_GROW, step_max)
         z[_FREE_DIMS] = np.clip(z[_FREE_DIMS] - np.where(flipped, 0.0, sign * steps), 0.0, 1.0)
         prev_sign = np.where(flipped, 0.0, sign)
-        cur = float(_batch_loss(z[None], ranges, target, samples, final_softness)[0])
+        cur = float(_batch_loss(z[None], ranges, target, DEFAULT_SOFTNESS)[0])
         if cur < best:
             best = cur
             best_z = z.copy()
@@ -198,22 +196,15 @@ def _descend(z, grad_ranges, grad_target, ranges, target, grad_softness, final_s
     return z, best, best_z
 
 
-def fit_stroke(target: Canvas, *, iterations: int = FIT_ITERATIONS,
-               samples: int = FIT_SAMPLES, softness: float = DEFAULT_SOFTNESS,
-               foreground_threshold: float = 0.1,
-               init: BezierStroke | None = None) -> FitResult:
+def fit_stroke(target: Canvas, *, iterations: int = FIT_ITERATIONS) -> FitResult:
     """Recover stroke parameters whose rendering matches ``target``.
 
     Coordinate-wise finite differences drive the descent; the loss is
     blurred through a softness ladder and evaluated on a half-resolution
     grid, while acceptance always scores the full-resolution render at
-    the requested softness. A geodesic spine start is tried first and a
+    DEFAULT_SOFTNESS. A geodesic spine start is tried first and a
     straight-chord start serves as fallback when the first stall is
     above tolerance. The optimizer is deterministic.
-
-    A warm start passed as ``init`` is mapped to its opacity-1
-    equivalent (same rendering) and its loss seeds the best-so-far
-    tracking, so refinement never returns anything worse than ``init``.
     """
     if iterations < len(_SOFTNESS_LADDER):
         raise ConfigError("iterations must cover the softness ladder")
@@ -238,34 +229,22 @@ def fit_stroke(target: Canvas, *, iterations: int = FIT_ITERATIONS,
     def run(z0):
         z = z0.copy()
         z[_OPACITY_DIM] = 1.0
-        best = float(_batch_loss(z[None], ranges, pixels, samples, softness)[0])
+        best = float(_batch_loss(z[None], ranges, pixels, DEFAULT_SOFTNESS)[0])
         best_z = z.copy()
         for rung in _SOFTNESS_LADDER:
             z, best, best_z = _descend(
                 z, grad_ranges, grad_target, ranges, pixels,
-                rung * softness * grad_scale, softness,
-                per_stage, samples, best, best_z, history)
+                rung * DEFAULT_SOFTNESS * grad_scale, per_stage, best, best_z, history)
         return best, best_z
 
-    starts = [_spine_guess(pixels, ranges, foreground_threshold)]
-    if init is not None:
-        warm = max_opacity_equivalent(init)
-        starts.insert(0, np.clip(ranges.normalize(ranges.clamp(warm.vector)), 0.0, 1.0))
-    best, best_z = run(starts[0])
-    for z0 in starts[1:]:
-        if best <= _RETRY_LOSS:
-            break
-        other_best, other_z = run(z0)
-        if other_best < best:
-            best, best_z = other_best, other_z
+    best, best_z = run(_spine_guess(pixels, ranges))
     if best > _RETRY_LOSS:
-        retry_best, retry_z = run(_initial_guess(pixels, ranges, foreground_threshold))
+        retry_best, retry_z = run(_initial_guess(pixels, ranges))
         if retry_best < best:
             best, best_z = retry_best, retry_z
     if best > _POLISH_LOSS:
         _, best, best_z = _descend(
-            best_z.copy(), ranges, pixels, ranges, pixels, softness, softness,
-            _POLISH_ITERATIONS, samples, best, best_z, history,
-            step_init=0.01, step_max=0.05)
+            best_z.copy(), ranges, pixels, ranges, pixels, DEFAULT_SOFTNESS,
+            _POLISH_ITERATIONS, best, best_z, history, step_init=0.01, step_max=0.05)
     running = np.minimum.accumulate(np.asarray(history))
     return FitResult(BezierStroke(ranges.denormalize(best_z)), best, running)

@@ -8,7 +8,7 @@ from ..errors import NumericalError
 from ..metrics import alpha_iou, connected_regions, label_components
 from .canvas import Canvas
 from .model import BezierStroke, ParamRanges, generate_random_stroke, max_opacity_equivalent
-from .raster import DEFAULT_SAMPLES, DEFAULT_SOFTNESS, rasterize_stroke
+from .raster import rasterize_stroke
 
 MIN_CORE_PIXELS = 25
 
@@ -18,8 +18,6 @@ def generate_visible_stroke(rng: np.random.Generator, side: int, *,
                             min_core_pixels: int = MIN_CORE_PIXELS,
                             identifiable_iou: float | None = 0.9,
                             max_tries: int = 1000,
-                            samples: int = DEFAULT_SAMPLES,
-                            softness: float = DEFAULT_SOFTNESS,
                             ) -> tuple[BezierStroke, Canvas, np.ndarray]:
     """Rejection-sample a stroke that renders as one solid, recoverable mark.
 
@@ -34,8 +32,7 @@ def generate_visible_stroke(rng: np.random.Generator, side: int, *,
     shape = (side, side)
     for _ in range(max_tries):
         stroke = generate_random_stroke(rng, ranges)
-        canvas, alpha = rasterize_stroke(stroke, shape, channels=channels,
-                                         samples=samples, softness=softness)
+        canvas, alpha = rasterize_stroke(stroke, shape, channels=channels)
         core = alpha >= 0.5
         if int(core.sum()) < min_core_pixels:
             continue
@@ -46,8 +43,7 @@ def generate_visible_stroke(rng: np.random.Generator, side: int, *,
             continue
         if identifiable_iou is not None:
             _, twin_alpha = rasterize_stroke(max_opacity_equivalent(stroke), shape,
-                                             channels=channels, samples=samples,
-                                             softness=softness)
+                                             channels=channels)
             if alpha_iou(alpha, twin_alpha) < identifiable_iou:
                 continue
         return stroke, canvas, alpha

@@ -4,7 +4,9 @@ The cubic is sampled into a polyline, every pixel center gets its distance to
 that polyline, and coverage falls off with a sigmoid of (width/2 - distance)
 over a softness scale.  Color is composited over the base with the coverage as
 alpha.  Everything is vectorized over a batch of strokes because fitting
-evaluates many perturbed candidates per step.
+evaluates many perturbed candidates per step.  Strokes render with
+DEFAULT_SAMPLES polyline points at DEFAULT_SOFTNESS; only ``coverage_batch``
+takes other values, for fitting's cheaper, blurred loss.
 
 The distance field is written into one (B, H, W) array, a block of polylines
 at a time, each block taking a running minimum over chunks of segments.  A
@@ -18,7 +20,7 @@ width share the geometry of the point they probe around.
 
 ``compose_over`` rasterizes only the stroke's footprint window: the bounding
 box of the four control points (the cubic lies in their convex hull), grown by
-width/2 + softness * ln(1/TAIL) and clipped to the canvas.  Since
+width/2 + DEFAULT_SOFTNESS * ln(1/TAIL) and clipped to the canvas.  Since
 sigmoid(z) < exp(z), every pixel outside the window would get coverage below
 opacity * TAIL, so leaving it untouched moves it by at most TAIL.  Pixels
 inside the window are bit-identical to a full-canvas rasterization.
@@ -127,13 +129,6 @@ def distance_field_batch(poly: np.ndarray, height: int, width: int, *,
     return np.sqrt(field, out=field)
 
 
-def _check_raster_args(samples: int, softness: float) -> None:
-    if samples < 2:
-        raise ConfigError(f"need at least 2 polyline samples, got {samples}")
-    if softness <= 0:
-        raise ConfigError(f"softness must be positive, got {softness}")
-
-
 def coverage_batch(
     vectors: np.ndarray,
     height: int,
@@ -150,7 +145,10 @@ def coverage_batch(
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != 13:
         raise ConfigError(f"expected (B, 13) stroke vectors, got {vectors.shape}")
-    _check_raster_args(samples, softness)
+    if samples < 2:
+        raise ConfigError(f"need at least 2 polyline samples, got {samples}")
+    if softness <= 0:
+        raise ConfigError(f"softness must be positive, got {softness}")
     geometry, shared = vectors[:, :8], slice(None)
     if len(vectors) > 1:
         geometry, inverse = np.unique(geometry, axis=0, return_inverse=True)
@@ -163,17 +161,12 @@ def coverage_batch(
     return opacity / (1.0 + np.exp(-z))
 
 
-def stroke_alpha(
-    stroke: BezierStroke,
-    shape,
-    samples: int = DEFAULT_SAMPLES,
-    softness: float = DEFAULT_SOFTNESS,
-) -> np.ndarray:
+def stroke_alpha(stroke: BezierStroke, shape) -> np.ndarray:
     """Coverage map of a single stroke, (H, W)."""
     if np.isscalar(shape):
         shape = (int(shape), int(shape))
     h, w = shape
-    return coverage_batch(stroke.vector[None, :], h, w, samples, softness)[0]
+    return coverage_batch(stroke.vector[None, :], h, w)[0]
 
 
 def _stroke_channels(stroke: BezierStroke, channels: int) -> np.ndarray:
@@ -183,17 +176,16 @@ def _stroke_channels(stroke: BezierStroke, channels: int) -> np.ndarray:
     return np.array([float(rgb @ LUMA_WEIGHTS)])
 
 
-def footprint_window(vector: np.ndarray, height: int, width: int,
-                     softness: float = DEFAULT_SOFTNESS) -> tuple[slice, slice]:
+def footprint_window(vector: np.ndarray, height: int, width: int) -> tuple[slice, slice]:
     """Canvas rows and columns outside which coverage stays below opacity * TAIL.
 
-    A pixel center farther than width/2 + softness * ln(1/TAIL) from the
+    A pixel center farther than width/2 + DEFAULT_SOFTNESS * ln(1/TAIL) from the
     control-point box is at least that far from the cubic, so its sigmoid
     argument is below ln(TAIL). The slices may be empty.
     """
     vector = np.asarray(vector, dtype=np.float64)
     points = vector[:8].reshape(4, 2)
-    margin = vector[12] / 2.0 + softness * np.log(1.0 / TAIL)
+    margin = vector[12] / 2.0 + DEFAULT_SOFTNESS * np.log(1.0 / TAIL)
     lo = np.floor(points.min(axis=0) - margin)
     hi = np.ceil(points.max(axis=0) + margin)
     cols = slice(int(max(lo[0], 0)), int(min(hi[0], width)))
@@ -201,24 +193,18 @@ def footprint_window(vector: np.ndarray, height: int, width: int,
     return rows, cols
 
 
-def compose_over(
-    base: Canvas,
-    stroke: BezierStroke,
-    samples: int = DEFAULT_SAMPLES,
-    softness: float = DEFAULT_SOFTNESS,
-) -> Canvas:
+def compose_over(base: Canvas, stroke: BezierStroke) -> Canvas:
     """Alpha-composite one stroke over a canvas; returns a new canvas.
 
     Only the footprint window is rasterized; every other pixel would move
     by at most TAIL and is copied unchanged.
     """
-    _check_raster_args(samples, softness)
     out = base.copy()
-    rows, cols = footprint_window(stroke.vector, base.height, base.width, softness)
+    rows, cols = footprint_window(stroke.vector, base.height, base.width)
     if rows.start >= rows.stop or cols.start >= cols.stop:
         return out
     alpha = coverage_batch(stroke.vector[None, :], rows.stop - rows.start,
-                           cols.stop - cols.start, samples, softness,
+                           cols.stop - cols.start,
                            origin=(rows.start, cols.start))[0, :, :, None]
     color = _stroke_channels(stroke, base.channels)
     window = out.pixels[rows, cols]
@@ -226,18 +212,13 @@ def compose_over(
     return out
 
 
-def rasterize_stroke(
-    stroke: BezierStroke,
-    shape,
-    samples: int = DEFAULT_SAMPLES,
-    softness: float = DEFAULT_SOFTNESS,
-    channels: int = 3,
-) -> tuple[Canvas, np.ndarray]:
+def rasterize_stroke(stroke: BezierStroke, shape, channels: int = 3
+                     ) -> tuple[Canvas, np.ndarray]:
     """Render one stroke over white; returns the canvas and its coverage map."""
     if np.isscalar(shape):
         shape = (int(shape), int(shape))
     base = Canvas.white(shape, channels)
-    alpha = stroke_alpha(stroke, shape, samples, softness)
+    alpha = stroke_alpha(stroke, shape)
     color = _stroke_channels(stroke, channels)
     pixels = alpha[:, :, None] * color + (1.0 - alpha[:, :, None]) * base.pixels
     return Canvas(pixels), alpha

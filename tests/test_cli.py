@@ -19,6 +19,7 @@ from strokecraft.cli import (
     main,
     rotate_stroke_ccw,
 )
+from strokecraft.errors import NumericalError
 from strokecraft.manifest import RunManifest
 from strokecraft.metrics import connected_regions, mse
 from strokecraft.painting import StrokePredictor, layered_paint
@@ -172,6 +173,22 @@ class TestGenData:
         assert main(["gen-data", "--count", "1", "--canvas-size", "16", "--gray",
                      "--seed", "1", "--out", str(tmp_path / "never")]) == 4
         assert len(checks) == BYTE_REGION_DRAWS
+
+    def test_failed_draw_writes_no_image(self, tmp_path, monkeypatch):
+        draws = []
+
+        def third_fails(*args, **kwargs):
+            draws.append(1)
+            if len(draws) == 3:
+                raise NumericalError("no acceptable stroke")
+            return generate_visible_stroke(*args, **kwargs)
+
+        monkeypatch.setattr("strokecraft.cli.generate_visible_stroke", third_fails)
+        out = tmp_path / "partial"
+        assert main(["gen-data", "--count", "4", "--canvas-size", "16", "--seed", "1",
+                     "--out", str(out)]) == 4
+        assert len(draws) == 3
+        assert list(out.glob("stroke_*")) == []
 
     def test_canvas_too_small_for_a_core_is_refused_before_drawing(self, tmp_path, monkeypatch):
         draws = []
@@ -447,6 +464,30 @@ class TestReplay:
                      "--out", str(tmp_path / "again")]) == 2
         assert not (tmp_path / "again").exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("train-predictor", "lambda_m", [1, 2]),
+        ("gen-data", "seed", "a"),
+        ("paint", "threshold", "a"),
+        ("gen-data", "flips", "no"),
+    ], ids=["lambda-pair", "text-seed", "text-threshold", "text-flag"])
+    def test_mistyped_value_is_an_io_error(self, workspace, tmp_path, capsys,
+                                           command, key, value):
+        if command == "paint":
+            config = {"target": str(workspace / "data" / "stroke_000.ppm"),
+                      "predictor": str(workspace / "ptrain" / "predictor.ckpt"),
+                      "layers": 1, "threshold": 0.5, "out": str(tmp_path / "painted")}
+        else:
+            source = {"gen-data": "data", "train-predictor": "ptrain"}[command]
+            config = RunManifest.load(workspace / source / "manifest.json").config
+        RunManifest(command=command, config=dict(config, **{key: value})).save(
+            tmp_path / "m.json")
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "again")]) == 3
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "again").exists()
+
     def test_malformed_manifest_is_an_io_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{oops")
@@ -493,8 +534,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     ["verify-math", "--mc-draws", "0", "--seed", "1"],
     ["train-predictor", "--epochs", "1", "--holdout-scenes", "-1", "--seed", "1"],
     ["paint", "--target", "t", "--predictor", "p", "--layers", "0"],
+    ["gen-data", "--count", "1", "--seed", "-1"],
 ], ids=["epochs", "batch-size", "negative-count", "zero-count", "canvas-size", "mc-draws",
-        "holdout-scenes", "layers"])
+        "holdout-scenes", "layers", "negative-seed"])
 def test_out_of_range_flag_exits_two_before_writing(tmp_path, argv):
     out = tmp_path / "out"
     done = subprocess.run([sys.executable, "-m", "strokecraft.cli", *argv, "--out", str(out)],

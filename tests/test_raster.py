@@ -77,8 +77,8 @@ def probe_batches(z, side, iterations=3):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fitting, "coverage_batch", recording)
-        fitting._descend(z.copy(), ranges, target.pixels, ranges, target.pixels, 1.6, 0.8,
-                         iterations, fitting.FIT_SAMPLES, np.inf, z.copy(), [])
+        fitting._descend(z.copy(), ranges, target.pixels, ranges, target.pixels, 1.6,
+                         iterations, np.inf, z.copy(), [])
     return [b for b in batches if len(b) > 1]
 
 
@@ -224,10 +224,12 @@ class TestFootprintWindow:
         np.testing.assert_array_equal(got.pixels, base.pixels)
         assert np.abs(full_canvas_compose(base, stroke) - got.pixels).max() <= TAIL
 
-    def test_bad_softness_is_rejected_even_off_canvas(self):
-        stroke = self.make([150.0, 150.0, 160.0, 155.0, 170.0, 150.0, 180.0, 160.0])
+
+def test_coverage_rejects_bad_samples_and_softness():
+    vectors = random_vectors(12, 2, 8)
+    for samples, softness in [(1, 0.8), (24, 0.0), (24, -0.5)]:
         with pytest.raises(ConfigError):
-            compose_over(Canvas.white(8), stroke, softness=0.0)
+            coverage_batch(vectors, 8, 8, samples, softness)
 
 
 def test_fit_of_a_gate_09_target_is_unchanged():

@@ -10,6 +10,7 @@ from strokecraft.strokes import (
     REFERENCE_SIDE,
     BezierStroke,
     ParamRanges,
+    coverage_batch,
     generate_random_stroke,
     generate_visible_stroke,
     load_strokes,
@@ -199,7 +200,7 @@ def test_coverage_nonincreasing_with_distance():
 def test_degenerate_stroke_renders_a_disc():
     width, softness = 6.0, 0.8
     stroke = make_stroke([(16, 16)] * 4, opacity=1.0, width=width)
-    alpha = stroke_alpha(stroke, (32, 32), softness=softness)
+    alpha = coverage_batch(stroke.vector[None], 32, 32, softness=softness)[0]
     ys, xs = np.mgrid[0:32, 0:32]
     d = np.hypot(xs + 0.5 - 16.0, ys + 0.5 - 16.0)
     expected = 1.0 / (1.0 + np.exp(-(width / 2 - d) / softness))
@@ -213,7 +214,7 @@ def test_straight_stroke_covered_area():
     stroke = make_stroke(
         [(x0, y), (x0 + length / 3, y), (x0 + 2 * length / 3, y), (x0 + length, y)],
         opacity=1.0, width=width)
-    alpha = stroke_alpha(stroke, (64, 64), softness=0.05)
+    alpha = coverage_batch(stroke.vector[None], 64, 64, softness=0.05)[0]
     count = int(np.count_nonzero(alpha >= 0.5))
     assert abs(count - length * width) / (length * width) <= 0.10
     # exact oracle: pixel centers within width/2 of the segment
