@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, files
 from .diffusion import (
     ETA_MODES,
     PRIOR_MODES,
@@ -81,22 +83,11 @@ def _out_dir(config: dict) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_json(path: Path, payload) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise DataIOError(f"cannot write {path}: {exc}") from exc
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    files.write_bytes(path, text.getvalue().encode("utf-8"))
 
 
 def _float_cell(value: float) -> str:
@@ -149,9 +140,6 @@ def _draw_augmented(rng, side: int, channels: int, config: dict
 
 def run_gen_data(config: dict) -> RunManifest:
     side = config["canvas_size"]
-    if side * side < MIN_CORE_PIXELS:
-        raise ConfigError(f"a {side}x{side} canvas cannot hold the {MIN_CORE_PIXELS}-pixel "
-                          "stroke core every image needs")
     rng = np.random.default_rng(config["seed"])
     channels = 1 if config["gray"] else 3
     suffix = ".pgm" if channels == 1 else ".ppm"
@@ -175,13 +163,13 @@ def _corrupted_posterior(x_t, x0, x_s, t, eta, schedule) -> GaussianMoments:
 
 
 def run_verify_math(config: dict) -> RunManifest:
-    out = _out_dir(config)
     schedule = build_schedule(config["steps"], mode=config["schedule"])
     posterior_fn = _corrupted_posterior if config["corrupt_variance"] else smr_posterior_moments
     checks = verify_identities(schedule, rng=np.random.default_rng(config["seed"]),
                                mc_draws=config["mc_draws"], posterior_fn=posterior_fn)
     rows = [[c.name, _float_cell(c.max_error), _float_cell(c.tolerance),
              "true" if c.passed else "false"] for c in checks]
+    out = _out_dir(config)
     _write_csv(out / "identities.csv", ["identity", "max_error", "tolerance", "pass"], rows)
     manifest = _save_manifest("verify-math", config, out, {"report": "identities.csv"})
     for c in checks:
@@ -205,7 +193,6 @@ def _load_dataset(directory: Path) -> tuple[np.ndarray, tuple[int, int, int]]:
 
 
 def run_train_diffusion(config: dict) -> RunManifest:
-    out = _out_dir(config)
     data, _ = _load_dataset(Path(config["data"]))
     schedule = build_schedule(config["steps"], mode=config["schedule"])
     smr = SmrConfig(upsilon=config["upsilon"], eta_mode=config["eta_mode"],
@@ -213,6 +200,7 @@ def run_train_diffusion(config: dict) -> RunManifest:
     result = train_diffusion(data, schedule, smr, epochs=config["epochs"],
                              rng=np.random.default_rng(config["seed"]),
                              batch_size=config["batch_size"], lr=config["lr"])
+    out = _out_dir(config)
     result.denoiser.save(out / "denoiser.ckpt")
     _write_csv(out / "loss_history.csv", ["epoch", "mean_loss"],
                [[e, _float_cell(v)] for e, v in enumerate(result.loss_history)])
@@ -224,7 +212,6 @@ def run_train_diffusion(config: dict) -> RunManifest:
 
 
 def run_sample(config: dict) -> RunManifest:
-    out = _out_dir(config)
     denoiser = Denoiser.load(config["checkpoint"])
     side = config["canvas_size"]
     dim = denoiser.arch["data_dim"]
@@ -238,6 +225,7 @@ def run_sample(config: dict) -> RunManifest:
     flat = ancestral_sample(denoiser, schedule, config["count"], dim, rng,
                             inject_noise=not config["no_noise"])
     suffix = ".pgm" if channels == 1 else ".ppm"
+    out = _out_dir(config)
     outputs = {}
     for i, row in enumerate(flat):
         pixels = np.clip((row.reshape(side, side, channels) + 1.0) / 2.0, 0.0, 1.0)
@@ -249,9 +237,9 @@ def run_sample(config: dict) -> RunManifest:
 
 
 def run_fit_stroke(config: dict) -> RunManifest:
-    out = _out_dir(config)
     target = read_pixmap(config["target"])
     result = fit_stroke(target, iterations=config["iterations"])
+    out = _out_dir(config)
     save_strokes(out / "fitted.json", [result.stroke])
     render, _ = rasterize_stroke(result.stroke, (target.height, target.width),
                                  channels=target.channels)
@@ -264,17 +252,23 @@ def run_fit_stroke(config: dict) -> RunManifest:
 
 
 def run_train_predictor(config: dict) -> RunManifest:
-    out = _out_dir(config)
+    side = config["canvas_size"]
+    if side % 4:  # the predictor halves its input twice
+        raise ConfigError(f"--canvas-size must be a multiple of 4 for the predictor, got {side}")
+    if config["max_strokes"] > config["slots"]:
+        raise ConfigError(f"--max-strokes {config['max_strokes']} exceeds "
+                          f"--slots {config['slots']}")
     lam = config["lambda_m"]
     cfg = MatchConfig(lambda_l1=lam[0], lambda_cos=lam[1], lambda_presence=lam[2],
                       lambda_rank=config["lambda_r"], margin=config["margin"],
                       max_strokes=config["slots"])
-    source = scene_source(config["canvas_size"], min_strokes=config["min_strokes"],
+    source = scene_source(side, min_strokes=config["min_strokes"],
                           max_strokes=config["max_strokes"])
     result = train_predictor(source, cfg, config["epochs"],
                              np.random.default_rng(config["seed"]),
                              scenes_per_epoch=config["scenes_per_epoch"],
                              holdout_scenes=config["holdout_scenes"], lr=config["lr"])
+    out = _out_dir(config)
     result.predictor.save(out / "predictor.ckpt")
     _write_csv(out / "loss_history.csv", ["epoch", "mean_loss"],
                [[e, _float_cell(v)] for e, v in enumerate(result.loss_history)])
@@ -290,13 +284,13 @@ def run_train_predictor(config: dict) -> RunManifest:
 
 
 def run_paint(config: dict) -> RunManifest:
-    out = _out_dir(config)
     target = read_pixmap(config["target"])
     predictor = StrokePredictor.load(config["predictor"])
     result = layered_paint(target, predictor, config["layers"],
                            threshold=config["threshold"])
     suffix = ".pgm" if target.channels == 1 else ".ppm"
     outputs = {"final": f"final{suffix}", "strokes": "strokes.json"}
+    out = _out_dir(config)
     write_pixmap(out / f"final{suffix}", result.final.clipped())
     for k, canvas in enumerate(result.intermediates):
         name = f"layer_{k:02d}{suffix}"
@@ -313,7 +307,8 @@ def run_paint(config: dict) -> RunManifest:
         }
         for placed in result.strokes
     ]
-    _write_json(out / "strokes.json", listing)
+    files.write_bytes(out / "strokes.json",
+                      (json.dumps(listing, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     per_layer = ", ".join(f"{v:.5f}" for v in result.layer_mse)
     print(f"painted {len(result.strokes)} strokes over "
           f"{config['layers']} layers; mse per layer: {per_layer}")
@@ -323,7 +318,6 @@ def run_paint(config: dict) -> RunManifest:
 
 
 def run_metrics(config: dict) -> RunManifest:
-    out = _out_dir(config)
     images = _list_pixmaps(Path(config["images"]))
     ref_dir = Path(config["ref"]) if config["ref"] else None
     rows = []
@@ -336,6 +330,7 @@ def run_metrics(config: dict) -> RunManifest:
             if ref_path.exists():
                 paired = _float_cell(mse(canvas.pixels, read_pixmap(ref_path).pixels))
         rows.append([path.stem, crd.region_count, _float_cell(crd.area_ratio), paired])
+    out = _out_dir(config)
     _write_csv(out / "metrics.csv",
                ["image_id", "region_count", "area_ratio", "mse_if_paired"], rows)
     inputs = {"images": config["images"]}
@@ -392,15 +387,17 @@ def _parses_as(action: argparse.Action, value) -> bool:
 
 
 # Smallest accepted value of each count, size, epoch, step and layer flag, and of
-# every seed that seeds a generator.
+# every seed that seeds a generator. A drawn stroke needs a canvas whose square
+# holds its MIN_CORE_PIXELS core.
+CORE_SIDE = math.isqrt(MIN_CORE_PIXELS - 1) + 1
 MINIMUMS = {
-    "gen-data": {"count": 1, "canvas_size": 1, "seed": 0},
+    "gen-data": {"count": 1, "canvas_size": CORE_SIDE, "seed": 0},
     "verify-math": {"steps": 1, "mc_draws": 1, "seed": 0},
     "train-diffusion": {"steps": 1, "prior_pairs": 1, "epochs": 1, "batch_size": 1,
                         "seed": 0},
     "sample": {"count": 1, "canvas_size": 1, "steps": 1, "seed": 0},
     "fit-stroke": {"iterations": 1},
-    "train-predictor": {"canvas_size": 1, "min_strokes": 1, "max_strokes": 1, "slots": 1,
+    "train-predictor": {"canvas_size": CORE_SIDE, "min_strokes": 1, "max_strokes": 1, "slots": 1,
                         "epochs": 1, "scenes_per_epoch": 1, "holdout_scenes": 0, "seed": 0},
     "paint": {"layers": 1},
 }

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import __version__
+from . import __version__, files
 from .errors import ConfigError, DataIOError
 
 _PATH_FIELDS = ("inputs", "outputs")
@@ -78,18 +78,8 @@ class RunManifest:
             raise DataIOError(f"manifest {source} is invalid: {exc}") from exc
 
     def save(self, path) -> None:
-        text = self.to_json()
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DataIOError(f"cannot write manifest to {path}: {exc}") from exc
+        files.write_bytes(path, self.to_json().encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataIOError(f"cannot read manifest from {path}: {exc}") from exc
-        return cls.from_json(text, source=str(path))
+        return cls.from_json(files.read_text(path), source=str(path))

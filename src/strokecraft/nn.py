@@ -14,6 +14,7 @@ import struct
 
 import numpy as np
 
+from . import files
 from .errors import ConfigError, DataIOError
 
 CHECKPOINT_MAGIC_KEY = "format"
@@ -176,18 +177,13 @@ def save_checkpoint(path, arch: dict, params: np.ndarray) -> None:
     header[CHECKPOINT_MAGIC_KEY] = CHECKPOINT_FORMAT
     header["param_count"] = int(params.size)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(params, dtype="<f8").tobytes())
+    # joining a view of the weights makes the written bytes their only copy
+    weights = memoryview(np.ascontiguousarray(params, dtype="<f8"))
+    files.write_bytes(path, b"".join([struct.pack("<I", len(blob)), blob, weights]))
 
 
 def load_checkpoint(path) -> tuple[dict, np.ndarray]:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataIOError(f"cannot read checkpoint {path}: {exc}") from exc
+    raw = files.read_bytes(path)
     if len(raw) < 4:
         raise DataIOError(f"checkpoint {path} too short for a header")
     (hlen,) = struct.unpack("<I", raw[:4])

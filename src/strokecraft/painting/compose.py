@@ -141,6 +141,9 @@ def layered_paint(target: Canvas, predictor: StrokePredictor, layers: int, *,
     """
     if layers < 1:
         raise ConfigError(f"need at least one layer, got {layers}")
+    if layers > max(target.height, target.width).bit_length():  # 2^(layers-1) > the longer side
+        raise ConfigError(f"{layers} layers would split a {target.height}x{target.width} "
+                          f"target into more patches per side than it has pixels")
     if target.channels != predictor.arch["canvas_channels"]:
         raise ConfigError(
             f"target has {target.channels} channels, predictor wants "

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import files
 from .errors import DataIOError
 from .strokes.canvas import Canvas
 
@@ -26,12 +27,7 @@ def write_pixmap(path, canvas: Canvas) -> None:
         canvas = Canvas(np.asarray(canvas, dtype=np.float64))
     magic = MAGIC_BY_CHANNELS[canvas.channels]
     header = b"%s\n%d %d\n255\n" % (magic, canvas.width, canvas.height)
-    raster = quantize(canvas.pixels).tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header + raster)
-    except OSError as exc:
-        raise DataIOError(f"cannot write pixmap to {path}: {exc}") from exc
+    files.write_bytes(path, header + quantize(canvas.pixels).tobytes())
 
 
 def _tokens(blob: bytes, path) -> tuple[bytes, int, int, int, bytes]:
@@ -69,12 +65,7 @@ def _tokens(blob: bytes, path) -> tuple[bytes, int, int, int, bytes]:
 
 def read_pixmap(path) -> Canvas:
     """Parse a binary pixmap into a [0, 1] canvas; P5 gives one channel."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataIOError(f"cannot read pixmap from {path}: {exc}") from exc
-    magic, width, height, maxval, raster = _tokens(blob, path)
+    magic, width, height, maxval, raster = _tokens(files.read_bytes(path), path)
     if width < 1 or height < 1:
         raise DataIOError(f"{path} declares an empty {width}x{height} image")
     if not 1 <= maxval <= 255:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import files
 from ..errors import ConfigError, DataIOError
 
 PARAM_COUNT = 13
@@ -132,20 +133,12 @@ def max_opacity_equivalent(stroke: BezierStroke) -> BezierStroke:
 def save_strokes(path, strokes: list[BezierStroke]) -> None:
     """JSON array of 13-number arrays, one per stroke."""
     payload = [[float(v) for v in s.vector] for s in strokes]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-    except OSError as exc:
-        raise DataIOError(f"cannot write strokes to {path}: {exc}") from exc
+    files.write_bytes(path, (json.dumps(payload) + "\n").encode("utf-8"))
 
 
 def load_strokes(path) -> list[BezierStroke]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataIOError(f"cannot read strokes from {path}: {exc}") from exc
+        payload = json.loads(files.read_text(path))
     except json.JSONDecodeError as exc:
         raise DataIOError(f"malformed stroke file {path}: {exc}") from exc
     if not isinstance(payload, list):

@@ -23,7 +23,8 @@ from strokecraft.errors import NumericalError
 from strokecraft.manifest import RunManifest
 from strokecraft.metrics import connected_regions, mse
 from strokecraft.painting import StrokePredictor, layered_paint
-from strokecraft.pixmap import quantize, read_pixmap
+from strokecraft.pixmap import quantize, read_pixmap, write_pixmap
+from strokecraft.strokes.canvas import Canvas
 from strokecraft.strokes.generate import generate_visible_stroke
 from strokecraft.strokes.model import PARAM_COUNT, load_strokes
 from strokecraft.strokes.raster import rasterize_stroke
@@ -359,6 +360,44 @@ class TestTrainPredictorAndPaint:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("via", ["direct", "replay"])
+    @pytest.mark.parametrize("flags", [
+        {"canvas_size": 4},
+        {"canvas_size": 10},
+        {"slots": 2, "max_strokes": 5},
+    ], ids=["core-does-not-fit", "not-a-multiple-of-4", "more-strokes-than-slots"])
+    def test_impossible_flags_are_refused_before_drawing(self, workspace, tmp_path, capsys,
+                                                         monkeypatch, flags, via):
+        draws = []
+        monkeypatch.setattr("strokecraft.strokes.generate.generate_random_stroke",
+                            lambda *args: draws.append(1))
+        out = tmp_path / "out"
+        if via == "direct":
+            argv = ["train-predictor", "--epochs", "1", "--seed", "1"]
+            for key, value in flags.items():
+                argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            config = RunManifest.load(workspace / "ptrain" / "manifest.json").config
+            RunManifest(command="train-predictor", config=dict(config, **flags)).save(
+                tmp_path / "m.json")
+            argv = ["replay", "--manifest", str(tmp_path / "m.json")]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert draws == []
+        assert not out.exists()
+
+    def test_more_layers_than_the_target_has_pixels_are_refused(self, workspace, tmp_path):
+        # the finest of k layers splits each side into 2^(k-1) patches
+        pixels = np.random.default_rng(0).uniform(size=(16, 16, 3))
+        write_pixmap(tmp_path / "t.ppm", Canvas(pixels))
+        argv = ["paint", "--target", str(tmp_path / "t.ppm"),
+                "--predictor", str(workspace / "ptrain" / "predictor.ckpt")]
+        assert main(argv + ["--layers", "6", "--out", str(tmp_path / "six")]) == 2
+        assert not (tmp_path / "six").exists()
+        assert main(argv + ["--layers", "5", "--out", str(tmp_path / "five")]) == 0
+        assert (tmp_path / "five" / "layer_04.ppm").exists()
+
     def test_empty_holdout_reports_nan(self, tmp_path, capsys):
         out = tmp_path / "train"
         assert main(["train-predictor", "--epochs", "1", "--scenes-per-epoch", "1",
@@ -509,6 +548,15 @@ class TestReplay:
         assert "threshold" in capsys.readouterr().err
         assert not (tmp_path / "again").exists()
 
+    def test_manifest_that_is_not_utf8_is_an_io_error(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff" + RunManifest(command="gen-data", config={}).to_json().encode())
+        capsys.readouterr()
+        assert main(["replay", "--manifest", str(path), "--out", str(tmp_path / "again")]) == 3
+        err = capsys.readouterr().err
+        assert "UTF-8" in err and "Traceback" not in err
+        assert not (tmp_path / "again").exists()
+
     def test_unknown_command_is_rejected(self, tmp_path):
         RunManifest(command="gen-data", config={}).save(tmp_path / "m.json")
         loaded = RunManifest.load(tmp_path / "m.json")
@@ -516,6 +564,51 @@ class TestReplay:
         hacked.save(tmp_path / "m.json")
         assert main(["replay", "--manifest", str(tmp_path / "m.json"),
                      "--out", str(tmp_path)]) == 3
+
+
+class TestFileBoundary:
+    @pytest.mark.parametrize("argv, code", [
+        (["gen-data", "--count", "2", "--canvas-size", "4", "--seed", "1"], 2),
+        (["verify-math", "--steps", "0", "--seed", "1"], 2),
+        (["train-diffusion", "--data", "absent", "--epochs", "1", "--seed", "1"], 3),
+        (["sample", "--checkpoint", "absent.ckpt", "--canvas-size", "16", "--seed", "1"], 3),
+        (["fit-stroke", "--target", "absent.ppm", "--seed", "1"], 3),
+        (["train-predictor", "--min-strokes", "3", "--max-strokes", "2", "--epochs", "1",
+          "--seed", "1"], 2),
+        (["paint", "--target", "{ws}/data/stroke_000.ppm", "--predictor", "absent.ckpt"], 3),
+        (["metrics", "--images", "absent"], 3),
+        (["replay", "--manifest", "absent.json"], 3),
+    ], ids=["gen-data", "verify-math", "train-diffusion", "sample", "fit-stroke",
+            "train-predictor", "paint", "metrics", "replay"])
+    def test_failure_before_the_first_write_leaves_no_out(self, workspace, tmp_path,
+                                                          monkeypatch, argv, code):
+        monkeypatch.chdir(tmp_path)
+        assert main([a.format(ws=workspace) for a in argv] + ["--out", "out"]) == code
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["train-diffusion", "--data", "{ws}/data16", "--steps", "4", "--epochs", "1",
+          "--prior-pairs", "1", "--batch-size", "2", "--seed", "1"], "denoiser.ckpt"),
+        (["train-predictor", "--canvas-size", "16", "--max-strokes", "2", "--slots", "2",
+          "--epochs", "1", "--scenes-per-epoch", "1", "--holdout-scenes", "1", "--seed", "1"],
+         "predictor.ckpt"),
+        (["fit-stroke", "--target", "{ws}/data16/stroke_000.pgm", "--iterations", "8",
+          "--seed", "1"], "fitted.json"),
+        (["sample", "--checkpoint", "{ws}/dtrain/denoiser.ckpt", "--count", "1",
+          "--canvas-size", "16", "--steps", "4", "--seed", "1"], "sample_000.pgm"),
+        (["paint", "--target", "{ws}/data/stroke_000.ppm",
+          "--predictor", "{ws}/ptrain/predictor.ckpt", "--layers", "1"], "strokes.json"),
+        (["metrics", "--images", "{ws}/data16"], "metrics.csv"),
+        (["gen-data", "--count", "1", "--canvas-size", "16", "--seed", "1"], "manifest.json"),
+    ], ids=["denoiser", "predictor", "fitted", "pixmap", "strokes", "csv", "manifest"])
+    def test_directory_on_an_output_name_is_an_io_error(self, workspace, tmp_path, capsys,
+                                                        argv, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        capsys.readouterr()
+        assert main([a.format(ws=workspace) for a in argv] + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

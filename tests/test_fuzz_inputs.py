@@ -1,9 +1,11 @@
-"""Random manifest values and damaged pixmaps end in an exit code, never a traceback.
+"""Random manifest values, damaged manifests and pixmaps end in an exit code, never a traceback.
 
 One small valid run of every command is recorded first. Each manifest example
 replaces one or two of a recorded config's values with random JSON and replays
-it; each pixmap example writes random header tokens and a body of random
-length, then runs ``metrics`` and ``fit-stroke`` on it. Everything runs
+it; each raw manifest example truncates a recorded manifest's bytes or
+overwrites a few of them, invalid UTF-8 included, and replays it; each pixmap
+example writes random header tokens and a body of random length, then runs
+``metrics`` and ``fit-stroke`` on it. Everything runs
 in-process through ``cli.main`` inside a scratch directory, so a relative path
 drawn at random resolves there. The example counts and the seed are fixed, so
 the suite runs the same inputs every time.
@@ -49,8 +51,8 @@ def run_cli(argv: list[str], work: Path) -> int:
 
 
 @pytest.fixture(scope="module")
-def configs(tmp_path_factory):
-    """The recorded config of one small valid run of every command."""
+def manifests(tmp_path_factory):
+    """The manifest bytes of one small valid run of every command."""
     root = tmp_path_factory.mktemp("fuzz_inputs")
     write_pixmap(root / "target.ppm", Canvas(np.random.default_rng(0).uniform(size=(16, 16, 3))))
     runs = {
@@ -73,8 +75,15 @@ def configs(tmp_path_factory):
     recorded = {}
     for command, argv in runs.items():
         assert run_cli([command, *argv, "--out", str(root / command)], root) == 0
-        recorded[command] = RunManifest.load(root / command / "manifest.json").config
+        recorded[command] = (root / command / "manifest.json").read_bytes()
     return recorded
+
+
+@pytest.fixture(scope="module")
+def configs(manifests):
+    """The recorded config of each run in ``manifests``."""
+    return {command: RunManifest.from_json(blob.decode()).config
+            for command, blob in manifests.items()}
 
 
 # integers stay small because cost grows fast in some counts: paint does 4^k
@@ -102,6 +111,23 @@ def test_replayed_manifest_with_random_values_exits_cleanly(configs, data):
         config[key] = data.draw(json_values)
     with tempfile.TemporaryDirectory() as work:
         RunManifest(command=command, config=config).save(Path(work) / "m.json")
+        run_cli(["replay", "--manifest", "m.json", "--out", "out"], Path(work))
+
+
+@fuzz(200)
+@given(data=st.data())
+def test_replayed_manifest_with_damaged_bytes_exits_cleanly(manifests, data):
+    command = data.draw(st.sampled_from(sorted(manifests)))
+    blob = bytearray(manifests[command])
+    if data.draw(st.booleans()):
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            spot = data.draw(st.integers(0, len(blob) - 1))
+            blob[spot] = data.draw(st.one_of(st.sampled_from(b'\xff\x80\xc3"{9- '),
+                                             st.integers(0, 255)))
+    with tempfile.TemporaryDirectory() as work:
+        (Path(work) / "m.json").write_bytes(bytes(blob))
         run_cli(["replay", "--manifest", "m.json", "--out", "out"], Path(work))
 
 

@@ -97,6 +97,10 @@ def test_load_strokes_rejects_malformed_files(tmp_path):
     scalar.write_text("42")
     with pytest.raises(DataIOError):
         load_strokes(scalar)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"[[\xff]]")
+    with pytest.raises(DataIOError):
+        load_strokes(latin)
     with pytest.raises(DataIOError):
         load_strokes(tmp_path / "missing.json")
 
