@@ -322,6 +322,11 @@ def run_metrics(config: dict) -> RunManifest:
     ref_dir = Path(config["ref"]) if config["ref"] else None
     rows = []
     for path in images:
+        try:
+            path.stem.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataIOError(f"image file name {path.name!r} is not UTF-8, so metrics.csv "
+                              f"cannot hold it as an image_id") from None
         canvas = read_pixmap(path)
         crd = connected_regions(canvas.pixels, config["threshold"])
         paired = ""

@@ -96,7 +96,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     b, c, h, w = x.shape
     hp = (h + 2 * pad - kh) // stride + 1
     wp = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
     cols = np.empty((b, c, kh, kw, hp, wp), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -150,7 +151,11 @@ def conv2d_backward(
 
 
 class Adam:
-    """Standard Adam on a flat parameter vector."""
+    """Standard Adam on a flat parameter vector.
+
+    ``update`` works in place, in ``m``, ``v``, ``params`` and two work
+    buffers, with the operations and their order of the plain expression.
+    """
 
     def __init__(self, size: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -161,14 +166,24 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._step = np.empty(size)
+        self._denom = np.empty(size)
 
     def update(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mhat = self.m / (1.0 - self.beta1**self.t)
-        vhat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        step, denom = self._step, self._denom
+        self.m *= self.beta1
+        self.m += np.multiply(1.0 - self.beta1, grad, out=step)
+        self.v *= self.beta2
+        np.multiply(1.0 - self.beta2, grad, out=step)
+        self.v += np.multiply(step, grad, out=step)
+        # params -= lr * mhat / (sqrt(vhat) + eps)
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=step)
+        np.multiply(self.lr, step, out=step)
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        params -= np.divide(step, denom, out=step)
 
 
 def save_checkpoint(path, arch: dict, params: np.ndarray) -> None:

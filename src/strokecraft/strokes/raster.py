@@ -10,13 +10,16 @@ takes other values, for fitting's cheaper, blurred loss.
 
 The distance field is written into one (B, H, W) array, a block of polylines
 at a time, each block taking a running minimum over chunks of segments.  A
-block times a chunk holds at most CHUNK_ELEMENTS segment-pixel distances (or
-one segment of one polyline, H * W, when that is more), so temporaries stay
-small on any batch and canvas; min is exact, so the field is the same to the
-bit as a single pass over all segments.  ``coverage_batch`` computes one field
-per distinct control polygon and applies each row's width, opacity and
-softness to it: fitting's finite-difference probes that move only colour or
-width share the geometry of the point they probe around.
+block times a chunk holds at most CHUNK_ELEMENTS segment-pixel distances, so a
+whole fitting probe batch is one block.  Its two full-size temporaries live in
+scratch buffers the module keeps across calls, allocated on first use and grown
+on demand up to CHUNK_ELEMENTS values each; only a block larger than that (one
+segment of one polyline covering more pixels than the budget) takes fresh
+arrays.  Min is exact, so the field is the same to the bit as a single pass
+over all segments.  ``coverage_batch`` computes one field per distinct control
+polygon (rows numbered by first occurrence) and applies each row's width,
+opacity and softness to it: fitting's finite-difference probes that move only
+colour or width share the geometry of the point they probe around.
 
 ``compose_over`` rasterizes only the stroke's footprint window: the bounding
 box of the four control points (the cubic lies in their convex hull), grown by
@@ -41,11 +44,15 @@ DEFAULT_SOFTNESS = 0.8
 
 # Largest coverage a skipped pixel could have had, as a fraction of opacity.
 TAIL = 1e-12
-# Segment-pixel distances the distance field holds at once, rows * chunk * H * W.
-# At 64 KiB of float64 per temporary, the allocator serves each chunk from
-# memory it keeps, instead of mapping fresh zeroed pages for every call:
-# with larger chunks, page faults made up a third of stroke-fitting time.
-CHUNK_ELEMENTS = 2**13
+# Segment-pixel distances the distance field holds at once, rows * chunk * H * W,
+# and the size cap of each kept scratch buffer (1 MiB of float64).  It fits a
+# fitting probe batch, 17 geometries x 23 segments at 16 x 16, in one block.
+# Since the buffers are reused, a call maps no fresh pages for them: fresh
+# temporaries this size made page faults a third of stroke-fitting time.
+CHUNK_ELEMENTS = 2**17
+
+# The distance field's two full-size temporaries, kept across calls.
+_scratch: list[np.ndarray] = []
 
 
 def _pixel_centers(height: int, width: int, origin: tuple[int, int]
@@ -69,12 +76,25 @@ def polyline_points(vectors: np.ndarray, samples: int) -> np.ndarray:
     )
 
 
+def _scratch_pair(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays of ``shape``: views of the kept scratch buffers, or fresh
+    arrays when they would hold more than CHUNK_ELEMENTS values."""
+    size = int(np.prod(shape))
+    if size > CHUNK_ELEMENTS:
+        return np.empty(shape), np.empty(shape)
+    if not _scratch or not size <= _scratch[0].size <= CHUNK_ELEMENTS:
+        _scratch[:] = [np.empty(size), np.empty(size)]
+    return tuple(buffer[:size].reshape(shape) for buffer in _scratch)
+
+
 def _squared_distances(a, seg, len2, xs, ys) -> np.ndarray:
     """Squared distance from every pixel center to every segment, (B, S, H, W).
 
     Two full-size buffers carry every step in place: t, the clamped
     projection parameter (later the y offset), and cx. The operations and
     their order are those of the plain expression, so the bits are too.
+    The result may be a view of a kept scratch buffer, which the next call
+    overwrites.
     """
     px = xs[None, None, None, :]
     py = ys[None, None, :, None]
@@ -82,14 +102,15 @@ def _squared_distances(a, seg, len2, xs, ys) -> np.ndarray:
     dy0 = py - a[:, :, 1, None, None]
     sx = seg[:, :, 0, None, None]
     sy = seg[:, :, 1, None, None]
-    t = np.add(dx0 * sx, dy0 * sy)
+    t, cx = _scratch_pair((a.shape[0], a.shape[1], len(ys), len(xs)))
+    np.add(dx0 * sx, dy0 * sy, out=t)
     positive = len2[:, :, None, None] > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(t, len2[:, :, None, None], out=t)
     if not positive.all():
         np.copyto(t, 0.0, where=~positive)
     np.clip(t, 0.0, 1.0, out=t)
-    cx = np.multiply(t, sx)
+    np.multiply(t, sx, out=cx)
     np.subtract(dx0, cx, out=cx)
     np.multiply(t, sy, out=t)
     np.subtract(dy0, t, out=t)
@@ -151,8 +172,10 @@ def coverage_batch(
         raise ConfigError(f"softness must be positive, got {softness}")
     geometry, shared = vectors[:, :8], slice(None)
     if len(vectors) > 1:
-        geometry, inverse = np.unique(geometry, axis=0, return_inverse=True)
-        shared = inverse.reshape(-1)  # numpy 2.0.0 returns it as a column
+        # Distinct control polygons by their bytes, numbered by first occurrence.
+        first: dict[bytes, int] = {}
+        shared = [first.setdefault(row.tobytes(), len(first)) for row in geometry]
+        geometry = np.frombuffer(b"".join(first), dtype=np.float64).reshape(-1, 8)
     dist = distance_field_batch(polyline_points(geometry, samples), height, width,
                                 origin=origin)[shared]
     half_width = vectors[:, 12, None, None] / 2.0

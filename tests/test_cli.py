@@ -431,6 +431,17 @@ class TestMetrics:
         assert main(["metrics", "--images", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "met")]) == 3
 
+    def test_file_name_that_is_not_utf8_is_an_io_error(self, workspace, tmp_path, capsys):
+        images = tmp_path / "images"
+        images.mkdir()
+        name = os.fsdecode(b"\xff.ppm")
+        (images / name).write_bytes((workspace / "data" / "stroke_000.ppm").read_bytes())
+        capsys.readouterr()
+        assert main(["metrics", "--images", str(images), "--out", str(tmp_path / "met")]) == 3
+        err = capsys.readouterr().err
+        assert repr(name) in err and "Traceback" not in err
+        assert not (tmp_path / "met").exists()
+
 
 class TestReplay:
     def test_gen_data_replay_is_byte_identical(self, workspace, tmp_path):

@@ -1,4 +1,5 @@
-"""Shared flat-parameter layout: init, views and the checkpoint loader."""
+"""Shared flat-parameter layout: init, views and the checkpoint loader; the
+in-place optimizer and im2col against the plain expressions they replace."""
 
 import numpy as np
 import pytest
@@ -58,3 +59,53 @@ class TestLoadModel:
         nn.save_checkpoint(tmp_path / "p.ckpt", predictor.arch, predictor.params[:-1])
         with pytest.raises(ConfigError):
             StrokePredictor.load(tmp_path / "p.ckpt")
+
+
+def plain_adam_update(params, grad, m, v, t, lr, beta1, beta2, eps):
+    """The update as one expression per line, with fresh arrays; returns the new m, v."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    mhat = m / (1.0 - beta1**t)
+    vhat = v / (1.0 - beta2**t)
+    params -= lr * mhat / (np.sqrt(vhat) + eps)
+    return m, v
+
+
+def padded_im2col(x, kh, kw, stride, pad):
+    """im2col over np.pad, as the in-place padding replaced it."""
+    b, c, h, w = x.shape
+    hp = (h + 2 * pad - kh) // stride + 1
+    wp = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((b, c, kh, kw, hp, wp), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * hp : stride, j : j + stride * wp : stride]
+    return cols.reshape(b, c * kh * kw, hp * wp)
+
+
+class TestInPlace:
+    @pytest.mark.parametrize("lr, betas", [(1e-3, (0.9, 0.999)), (3e-2, (0.5, 0.9))])
+    def test_adam_matches_the_plain_expression(self, lr, betas):
+        rng = np.random.default_rng(21)
+        size = 1000
+        params = rng.normal(size=size)
+        expected = params.copy()
+        m, v = np.zeros(size), np.zeros(size)
+        adam = nn.Adam(size, lr=lr, beta1=betas[0], beta2=betas[1])
+        for t in range(1, 61):
+            grad = rng.normal(size=size) * rng.uniform(0.0, 3.0)
+            grad[:10] = 0.0  # moments that only decay
+            adam.update(params, grad)
+            m, v = plain_adam_update(expected, grad, m, v, t, lr, betas[0], betas[1], 1e-8)
+            np.testing.assert_array_equal(params, expected)
+        np.testing.assert_array_equal(adam.m, m)
+        np.testing.assert_array_equal(adam.v, v)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(1, 6, 32, 32), (2, 3, 9, 7)])
+    def test_im2col_matches_np_pad(self, shape, stride, pad):
+        x = np.random.default_rng(22).normal(size=shape)
+        np.testing.assert_array_equal(nn._im2col(x, 3, 3, stride, pad),
+                                      padded_im2col(x, 3, 3, stride, pad))

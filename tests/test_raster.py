@@ -1,7 +1,8 @@
 """Rasterizer fast paths against the slow paths they replace.
 
 The tiled distance field must equal a single pass over all segments to the
-bit, coverage of a batch whose rows share geometry must equal one call per
+bit, also when calls of different shapes take turns with the kept scratch
+buffers, coverage of a batch whose rows share geometry must equal one call per
 row to the bit, and the windowed compositing must equal full-canvas
 compositing to the bit inside the footprint window and within TAIL outside.
 """
@@ -44,6 +45,16 @@ def single_pass_field(poly, height, width, origin=(0, 0)):
     cy = dy0 - t * seg[:, :, 1, None, None]
     d2 = cx * cx + cy * cy
     return np.sqrt(d2.min(axis=1))
+
+
+def single_pass_coverage(vectors, height, width, samples, softness, origin=(0, 0)):
+    """Coverage over single_pass_field, one row at a time, with no kept buffer."""
+    dist = np.concatenate([single_pass_field(polyline_points(v[None], samples), height, width,
+                                             origin) for v in vectors])
+    half_width = vectors[:, 12, None, None] / 2.0
+    opacity = np.clip(vectors[:, 11, None, None], 0.0, 1.0)
+    z = (half_width - dist) / softness
+    return opacity / (1.0 + np.exp(-z))
 
 
 def full_canvas_compose(base, stroke):
@@ -136,6 +147,66 @@ class TestChunkedDistanceField:
         np.testing.assert_array_equal(window, coverage_batch(vectors, 30, 30, 16, 0.8)[:, 20:26, 3:14])
 
 
+def scratch_call_shapes():
+    """Fitting's probe, acceptance and polish calls and a compose window on a 256² canvas."""
+    probe = np.concatenate([random_vectors(11, 17, 16), random_vectors(12, 7, 16)])
+    probe[17:, :8] = probe[:7, :8]  # 17 geometries in 24 rows, as _descend makes
+    polish = probe.copy()
+    polish[:, :8] *= 2.0
+    paint = random_vectors(13, 1, 256)
+    rows, cols = footprint_window(paint[0], 256, 256)
+    window = (rows.stop - rows.start, cols.stop - cols.start)
+    return {
+        "probe": (probe, 16, 16, 24, 1.6, (0, 0)),
+        "acceptance": (random_vectors(14, 1, 32), 32, 32, 24, 0.8, (0, 0)),
+        "window": (paint, *window, raster.DEFAULT_SAMPLES, raster.DEFAULT_SOFTNESS,
+                   (rows.start, cols.start)),
+        "polish": (polish, 32, 32, 24, 1.6, (0, 0)),
+    }
+
+
+class TestScratchBuffers:
+    def test_interleaved_shapes_match_a_fresh_single_pass(self):
+        calls = scratch_call_shapes()
+        window_pixels = np.prod(calls["window"][1:3])
+        # the window needs more than one segment chunk
+        assert window_pixels * (raster.DEFAULT_SAMPLES - 1) > raster.CHUNK_ELEMENTS
+        expected = {name: single_pass_coverage(*call) for name, call in calls.items()}
+        for name in ["probe", "acceptance", "window", "probe", "polish", "acceptance",
+                     "probe"]:
+            vectors, height, width, samples, softness, origin = calls[name]
+            got = coverage_batch(vectors, height, width, samples, softness, origin=origin)
+            np.testing.assert_array_equal(got, expected[name], err_msg=name)
+
+    def test_buffers_are_kept_and_stay_within_the_budget(self):
+        calls = scratch_call_shapes()
+        with pytest.MonkeyPatch.context() as patch:  # leave buffers above the budget
+            patch.setattr(raster, "CHUNK_ELEMENTS", 2**22)
+            coverage_batch(*calls["polish"][:5])
+        assert raster._scratch[0].size > raster.CHUNK_ELEMENTS
+        kept = None
+        for repeat in range(3):
+            for vectors, height, width, samples, softness, origin in calls.values():
+                coverage_batch(vectors, height, width, samples, softness, origin=origin)
+                assert len(raster._scratch) == 2
+                assert all(buffer.size <= max(raster.CHUNK_ELEMENTS, height * width)
+                           for buffer in raster._scratch)
+            if repeat == 0:  # grown to the largest request by now
+                kept = list(raster._scratch)
+            assert all(now is then for now, then in zip(raster._scratch, kept))
+
+    def test_blocks_above_the_budget_take_fresh_arrays(self, monkeypatch):
+        calls = scratch_call_shapes()
+        vectors, height, width, samples, softness, origin = calls["acceptance"]
+        coverage_batch(*calls["probe"][:5])
+        kept = list(raster._scratch)
+        monkeypatch.setattr(raster, "CHUNK_ELEMENTS", height * width - 1)
+        got = coverage_batch(vectors, height, width, samples, softness)
+        assert all(now is then for now, then in zip(raster._scratch, kept))
+        np.testing.assert_array_equal(got, single_pass_coverage(vectors, height, width,
+                                                                samples, softness))
+
+
 class TestSharedGeometry:
     @pytest.mark.parametrize("fill", [0.5, 0.0, 1.0])
     def test_descend_probe_batches_match_one_call_per_row(self, fill, monkeypatch):
@@ -167,6 +238,25 @@ class TestSharedGeometry:
         batch[:, 8:] = random_vectors(10, 10, 20)[:, 8:]  # own colour, opacity and width
         shared = coverage_batch(batch, 20, 20, 9, 0.8)
         assert np.isfinite(shared).all()
+        np.testing.assert_array_equal(shared, per_row_coverage(batch, 20, 20, 9, 0.8))
+
+    def test_repeats_and_signed_zeros_match_one_call_per_row(self, monkeypatch):
+        vectors = random_vectors(15, 4, 20)
+        vectors[0, [0, 3]] = 0.0
+        vectors[1] = vectors[0]
+        vectors[1, [0, 3]] = -0.0  # equal to row 0, but not in its bytes
+        batch = vectors[[0, 1, 2, 0, 3, 1, 2, 0]].copy()
+        batch[:, 8:] = random_vectors(16, 8, 20)[:, 8:]
+        fields = []
+        field = raster.distance_field_batch
+
+        def counting(poly, *args, **kwargs):
+            fields.append(len(poly))
+            return field(poly, *args, **kwargs)
+
+        monkeypatch.setattr(raster, "distance_field_batch", counting)
+        shared = coverage_batch(batch, 20, 20, 9, 0.8)
+        assert fields[0] == 4
         np.testing.assert_array_equal(shared, per_row_coverage(batch, 20, 20, 9, 0.8))
 
 
@@ -244,3 +334,4 @@ def test_fit_of_a_gate_09_target_is_unchanged():
     ]
     assert [float(v).hex() for v in result.stroke.vector] == expected
     assert float(result.loss).hex() == "0x1.1a562379669f2p-15"
+
