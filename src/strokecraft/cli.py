@@ -38,7 +38,7 @@ from .metrics import DEFAULT_FOREGROUND_THRESHOLD, connected_regions, mse
 from .painting import MatchConfig, StrokePredictor, layered_paint, scene_source, train_predictor
 from .pixmap import quantize, read_pixmap, write_pixmap
 from .strokes.canvas import Canvas
-from .strokes.fitting import FIT_ITERATIONS, fit_stroke
+from .strokes.fitting import FIT_ITERATIONS, MIN_ITERATIONS, fit_stroke
 from .strokes.generate import MIN_CORE_PIXELS, generate_visible_stroke
 from .strokes.model import BezierStroke, save_strokes
 from .strokes.raster import rasterize_stroke
@@ -360,7 +360,7 @@ def run_replay(config: dict) -> RunManifest:
         if not _parses_as(action, replayed[key]):
             raise DataIOError(f"manifest config for {manifest.command} has a {key} that "
                               f"{action.option_strings[0]} does not take: {replayed[key]!r}")
-    _check_minimums(manifest.command, replayed)
+    _check_ranges(manifest.command, replayed)
     return RUNNERS[manifest.command](replayed)
 
 
@@ -401,20 +401,24 @@ MINIMUMS = {
     "train-diffusion": {"steps": 1, "prior_pairs": 1, "epochs": 1, "batch_size": 1,
                         "seed": 0},
     "sample": {"count": 1, "canvas_size": 1, "steps": 1, "seed": 0},
-    "fit-stroke": {"iterations": 1},
+    "fit-stroke": {"iterations": MIN_ITERATIONS},
     "train-predictor": {"canvas_size": CORE_SIDE, "min_strokes": 1, "max_strokes": 1, "slots": 1,
                         "epochs": 1, "scenes_per_epoch": 1, "holdout_scenes": 0, "seed": 0},
     "paint": {"layers": 1},
 }
 
 
-def _check_minimums(command: str, config: dict) -> None:
-    """Reject out-of-range counts before a command writes anything."""
+def _check_ranges(command: str, config: dict) -> None:
+    """Reject out-of-range counts and non-finite floats before a command writes anything."""
     for key, least in MINIMUMS.get(command, {}).items():
         value = config[key]
         if not isinstance(value, int) or value < least:
             flag = "--" + key.replace("_", "-")
             raise ConfigError(f"{flag} must be an integer of at least {least}, got {value!r}")
+    for key, value in config.items():
+        parts = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in parts):
+            raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
 
 
 RUNNERS = {
@@ -540,7 +544,7 @@ def main(argv=None) -> int:
         config["lambda_m"] = list(config["lambda_m"])
     runner = run_replay if command == "replay" else RUNNERS[command]
     try:
-        _check_minimums(command, config)
+        _check_ranges(command, config)
         runner(config)
     except StrokecraftError as exc:
         print(f"error: {exc}", file=sys.stderr)

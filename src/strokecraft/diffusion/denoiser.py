@@ -46,15 +46,8 @@ class Denoiser:
     params: np.ndarray
 
     @classmethod
-    def create(
-        cls,
-        data_dim: int,
-        hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-        time_dim: int = DEFAULT_TIME_DIM,
-        rng: np.random.Generator | None = None,
-    ) -> "Denoiser":
-        if rng is None:
-            raise ConfigError("Denoiser.create needs an rng for reproducible init")
+    def create(cls, data_dim: int, hidden: tuple[int, ...] = DEFAULT_HIDDEN,
+               time_dim: int = DEFAULT_TIME_DIM, *, rng: np.random.Generator) -> "Denoiser":
         arch = {
             "kind": "tau_mlp",
             "data_dim": int(data_dim),

@@ -46,8 +46,8 @@ class SmrConfig:
     prior_pairs: int = 32
 
     def __post_init__(self) -> None:
-        if self.upsilon < 0:
-            raise ConfigError(f"upsilon must be non-negative, got {self.upsilon}")
+        if not 0 <= self.upsilon < math.inf:
+            raise ConfigError(f"upsilon must be finite and non-negative, got {self.upsilon}")
         if self.eta_mode not in ETA_MODES:
             raise ConfigError(f"unknown eta_mode {self.eta_mode!r}, expected one of {ETA_MODES}")
         if self.prior_mode not in PRIOR_MODES:
@@ -274,27 +274,18 @@ def recover_x0(x_t: np.ndarray, tau: np.ndarray, t: int, schedule: NoiseSchedule
     return (x_t - math.sqrt(1.0 - ab) * tau) / math.sqrt(ab)
 
 
-def snr_trajectory(
-    schedule: NoiseSchedule, eta_eff: float = 0.0, noise_floor: str = "baseline"
-) -> np.ndarray:
+def snr_trajectory(schedule: NoiseSchedule, eta_eff: float = 0.0) -> np.ndarray:
     """Signal-to-noise ratio over all steps when the prior carries signal.
 
     Treating the injected prior as part of the signal, the signal power at
-    step t is ᾱ_t + η_eff·(1-ᾱ_t).  With ``noise_floor="baseline"`` (the
-    adopted definition) the noise power stays the plain 1-ᾱ_t, so the ratio
-    exceeds the standard ᾱ_t/(1-ᾱ_t) by exactly η_eff at every step.  With
-    ``noise_floor="inflated"`` the noise power is the full forward variance
-    (1+η_eff)(1-ᾱ_t) instead.
+    step t is ᾱ_t + η_eff·(1-ᾱ_t).  The noise power stays the plain 1-ᾱ_t,
+    so the ratio exceeds the standard ᾱ_t/(1-ᾱ_t) by exactly η_eff at every
+    step.
     """
-    if noise_floor not in ("baseline", "inflated"):
-        raise ConfigError(f"unknown noise_floor {noise_floor!r}")
     eta_eff = _check_eta(eta_eff)
     ab = schedule.alpha_bars
     signal = ab + eta_eff * (1.0 - ab)
-    noise = 1.0 - ab
-    if noise_floor == "inflated":
-        noise = (1.0 + eta_eff) * noise
-    return signal / noise
+    return signal / (1.0 - ab)
 
 
 def make_eta(

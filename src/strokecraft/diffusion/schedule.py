@@ -9,6 +9,8 @@ import numpy as np
 from ..errors import ConfigError
 
 SCHEDULE_MODES = ("linear", "scaled_linear")
+# betas at the first and the last step
+BETA_ENDPOINTS = (0.00085, 0.012)
 
 
 @dataclass(frozen=True)
@@ -39,12 +41,8 @@ class NoiseSchedule:
             )
 
 
-def build_schedule(
-    num_steps: int,
-    beta_endpoints: tuple[float, float] = (0.00085, 0.012),
-    mode: str = "scaled_linear",
-) -> NoiseSchedule:
-    """Build a noise schedule.
+def build_schedule(num_steps: int, mode: str = "scaled_linear") -> NoiseSchedule:
+    """Build a noise schedule from BETA_ENDPOINTS.
 
     ``linear`` interpolates the betas directly; ``scaled_linear`` interpolates
     their square roots, so squaring the interpolant reproduces the stated
@@ -54,11 +52,7 @@ def build_schedule(
         raise ConfigError(f"unknown schedule mode {mode!r}, expected one of {SCHEDULE_MODES}")
     if not isinstance(num_steps, (int, np.integer)) or num_steps < 1:
         raise ConfigError(f"num_steps must be a positive integer, got {num_steps!r}")
-    lo, hi = float(beta_endpoints[0]), float(beta_endpoints[1])
-    if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
-        raise ConfigError(f"beta endpoints must lie in (0, 1), got ({lo}, {hi})")
-    if hi < lo:
-        raise ConfigError(f"beta endpoints must be non-decreasing, got ({lo}, {hi})")
+    lo, hi = BETA_ENDPOINTS
 
     if mode == "linear":
         betas = np.linspace(lo, hi, num_steps, dtype=np.float64)

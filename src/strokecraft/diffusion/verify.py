@@ -24,6 +24,9 @@ from .process import (
 )
 from .schedule import NoiseSchedule
 
+# injection strengths of the grid checks
+ETAS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+
 
 @dataclass(frozen=True)
 class IdentityCheck:
@@ -47,7 +50,6 @@ def verify_identities(
     schedule: NoiseSchedule,
     *,
     rng: np.random.Generator,
-    etas: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
     mc_draws: int = 200_000,
     posterior_fn=smr_posterior_moments,
 ) -> list[IdentityCheck]:
@@ -72,7 +74,7 @@ def verify_identities(
     for t in step_grid:
         alpha = schedule.alphas[t]
         ab = schedule.alpha_bars[t]
-        for eta in etas:
+        for eta in ETAS:
             s1 = smr_transition_moments(np.zeros(1), np.zeros(1), t, eta, schedule).variance
             s2 = smr_marginal_moments(np.zeros(1), np.zeros(1), t - 1, eta, schedule).variance
             denom = alpha * s2 + s1
@@ -124,7 +126,7 @@ def verify_identities(
     # 6. every stated variance stays positive on the grid
     worst = np.inf
     for t in step_grid:
-        for eta in etas:
+        for eta in ETAS:
             worst = min(
                 worst,
                 smr_transition_moments(np.zeros(1), np.zeros(1), t, eta, schedule).variance,
@@ -137,7 +139,7 @@ def verify_identities(
 
     # 7. counting the prior as signal lifts the ratio by exactly eta_eff
     err = 0.0
-    for eta in etas:
+    for eta in ETAS:
         lifted = snr_trajectory(schedule, eta)
         base = snr_trajectory(schedule, 0.0)
         err = max(err, _rel(lifted - base, np.full_like(base, eta)) if eta else 0.0)

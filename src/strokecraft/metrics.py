@@ -56,7 +56,6 @@ class CrdResult:
     region_count: int
     area_ratio: float
     labels: np.ndarray
-    background: float
 
 
 def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -97,10 +96,10 @@ def connected_regions(
     pixels: np.ndarray, threshold: float = DEFAULT_FOREGROUND_THRESHOLD
 ) -> CrdResult:
     """Count 8-connected foreground regions and the foreground area fraction."""
-    mask, bg = foreground_mask(pixels, threshold)
+    mask, _ = foreground_mask(pixels, threshold)
     labels, count = label_components(mask)
     ratio = float(np.count_nonzero(mask)) / mask.size
-    return CrdResult(region_count=count, area_ratio=ratio, labels=labels, background=bg)
+    return CrdResult(region_count=count, area_ratio=ratio, labels=labels)
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -112,8 +111,8 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def alpha_iou(a: np.ndarray, b: np.ndarray, threshold: float = 0.5) -> float:
-    """Intersection over union of two coverage maps binarized at ``threshold``.
+def alpha_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """Intersection over union of two coverage maps binarized at 0.5.
 
     Two empty masks overlap perfectly by convention.
     """
@@ -121,8 +120,8 @@ def alpha_iou(a: np.ndarray, b: np.ndarray, threshold: float = 0.5) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ConfigError(f"alpha_iou shapes differ: {a.shape} vs {b.shape}")
-    ma = a >= threshold
-    mb = b >= threshold
+    ma = a >= 0.5
+    mb = b >= 0.5
     union = np.count_nonzero(ma | mb)
     if union == 0:
         return 1.0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -30,18 +30,15 @@ class MatchConfig:
     lambda_rank: float = 5.0
     margin: float = 0.125
     max_strokes: int = 8
-    presence_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         weights = (self.lambda_l1, self.lambda_cos, self.lambda_presence, self.lambda_rank)
-        if any(w < 0 for w in weights):
-            raise ConfigError("loss weights must be nonnegative")
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
+        if not all(0 <= w < inf for w in weights):
+            raise ConfigError("loss weights must be finite and nonnegative")
+        if not 0 < self.margin < inf:
+            raise ConfigError(f"margin must be finite and positive, got {self.margin}")
         if self.max_strokes < 1:
             raise ConfigError(f"max_strokes must be at least 1, got {self.max_strokes}")
-        if not 0.0 <= self.presence_threshold <= 1.0:
-            raise ConfigError("presence threshold must lie in [0, 1]")
 
     @property
     def lambda_m(self) -> tuple[float, float, float]:
@@ -107,7 +104,6 @@ class GroundTruthStroke:
     x_shift: float
     y_shift: float
     order_index: int
-    d: float = 1.0
 
     def __post_init__(self) -> None:
         params = np.asarray(self.params, dtype=np.float64)
@@ -116,8 +112,6 @@ class GroundTruthStroke:
         object.__setattr__(self, "params", params)
         if self.order_index < 1 or self.order_index != int(self.order_index):
             raise ConfigError(f"order index must be a positive integer, got {self.order_index}")
-        if self.d not in (0.0, 1.0):
-            raise ConfigError(f"presence flag must be 0 or 1, got {self.d}")
 
     def p_minus(self, side: float) -> np.ndarray:
         return p_minus(self.params, self.x_shift, self.y_shift, side)

@@ -168,12 +168,10 @@ def forward_loss(predictor: StrokePredictor, current: Canvas, target: Canvas,
                  ) -> tuple[np.ndarray, dict, float, np.ndarray, np.ndarray]:
     """One forward pass, the matching-plus-ranking loss and its gradient in the slots.
 
-    Only ground-truth strokes flagged present take part in the matching.
     Returns (slot outputs u, forward cache, loss, d loss/d u, matched
-    prediction index per present ground truth); the ranking score of slot
-    j is u[j, PARAM_COUNT + 2].
+    prediction index per ground truth); the ranking score of slot j is
+    u[j, PARAM_COUNT + 2].
     """
-    present = [g for g in gts if g.d == 1.0]
     side = float(predictor.arch["input_side"])
     u, cache = predictor._forward(predictor._stack(current, target))
     slope, intercept = _p_minus_affine(side)
@@ -182,8 +180,8 @@ def forward_loss(predictor: StrokePredictor, current: Canvas, target: Canvas,
     )
     pred_scr = u[:, PARAM_COUNT + 2]
     pred_d = u[:, PARAM_COUNT + 3]
-    gt_p = np.array([g.p_minus(side) for g in present]).reshape(len(present), pred_p.shape[1])
-    gt_order = np.array([g.order_index for g in present])
+    gt_p = np.array([g.p_minus(side) for g in gts]).reshape(len(gts), pred_p.shape[1])
+    gt_order = np.array([g.order_index for g in gts])
     loss, grad_p, grad_d, grad_scr, assignment = total_predictor_loss(
         pred_p, pred_d, pred_scr, gt_p, gt_order, cfg
     )
@@ -200,8 +198,8 @@ def loss_and_grad(predictor: StrokePredictor, current: Canvas, target: Canvas,
                   ) -> tuple[float, np.ndarray, np.ndarray]:
     """Total matching-plus-ranking loss and its gradient in the weights.
 
-    Returns (loss, flat gradient, matched prediction index per present
-    ground truth); see forward_loss.
+    Returns (loss, flat gradient, matched prediction index per ground
+    truth); see forward_loss.
     """
     _, cache, loss, grad_u, assignment = forward_loss(predictor, current, target, gts, cfg)
     return loss, predictor._backward(grad_u, cache), assignment

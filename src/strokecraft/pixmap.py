@@ -23,8 +23,6 @@ def quantize(pixels: np.ndarray) -> np.ndarray:
 
 def write_pixmap(path, canvas: Canvas) -> None:
     """One canvas as a binary pixmap; the channel count picks the format."""
-    if not isinstance(canvas, Canvas):
-        canvas = Canvas(np.asarray(canvas, dtype=np.float64))
     magic = MAGIC_BY_CHANNELS[canvas.channels]
     header = b"%s\n%d %d\n255\n" % (magic, canvas.width, canvas.height)
     files.write_bytes(path, header + quantize(canvas.pixels).tobytes())

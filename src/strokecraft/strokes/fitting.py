@@ -20,6 +20,8 @@ FIT_ITERATIONS = 300
 # Early stages blur the loss so the geometry can travel; the last stage
 # matches the render.
 _SOFTNESS_LADDER = (4.0, 2.25, 1.5, 1.0)
+# every rung takes at least one iteration
+MIN_ITERATIONS = len(_SOFTNESS_LADDER)
 
 # Per-coordinate sign steps in normalized parameter space: grow while the
 # gradient sign holds, halve and hold on a flip.
@@ -206,7 +208,7 @@ def fit_stroke(target: Canvas, *, iterations: int = FIT_ITERATIONS) -> FitResult
     straight-chord start serves as fallback when the first stall is
     above tolerance. The optimizer is deterministic.
     """
-    if iterations < len(_SOFTNESS_LADDER):
+    if iterations < MIN_ITERATIONS:
         raise ConfigError("iterations must cover the softness ladder")
     pixels = target.pixels
     side = max(pixels.shape[:2])

@@ -11,30 +11,29 @@ from .model import BezierStroke, ParamRanges, generate_random_stroke, max_opacit
 from .raster import rasterize_stroke
 
 MIN_CORE_PIXELS = 25
+MAX_TRIES = 1000
 
 
 def generate_visible_stroke(rng: np.random.Generator, side: int, *,
                             channels: int = 3,
-                            min_core_pixels: int = MIN_CORE_PIXELS,
                             identifiable_iou: float | None = 0.9,
-                            max_tries: int = 1000,
                             ) -> tuple[BezierStroke, Canvas, np.ndarray]:
     """Rejection-sample a stroke that renders as one solid, recoverable mark.
 
     Accepts a draw only when the canvas shows a single connected
     foreground region, the alpha core (coverage >= 0.5) is one component
-    of at least ``min_core_pixels``, and, unless ``identifiable_iou`` is
+    of at least MIN_CORE_PIXELS, and, unless ``identifiable_iou`` is
     None, the alpha mask survives the opacity-maximizing
     reparameterization that leaves the rendered image unchanged. Targets
     failing that last check cannot be recovered from pixels alone.
     """
     ranges = ParamRanges.for_canvas(side)
     shape = (side, side)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         stroke = generate_random_stroke(rng, ranges)
         canvas, alpha = rasterize_stroke(stroke, shape, channels=channels)
         core = alpha >= 0.5
-        if int(core.sum()) < min_core_pixels:
+        if int(core.sum()) < MIN_CORE_PIXELS:
             continue
         _, core_count = label_components(core)
         if core_count != 1:
@@ -47,4 +46,4 @@ def generate_visible_stroke(rng: np.random.Generator, side: int, *,
             if alpha_iou(alpha, twin_alpha) < identifiable_iou:
                 continue
         return stroke, canvas, alpha
-    raise NumericalError(f"no acceptable stroke after {max_tries} draws")
+    raise NumericalError(f"no acceptable stroke after {MAX_TRIES} draws")

@@ -37,10 +37,6 @@ class ParamRanges:
     hi: np.ndarray
 
     @classmethod
-    def reference(cls) -> "ParamRanges":
-        return cls(lo=_REFERENCE_LO.copy(), hi=_REFERENCE_HI.copy())
-
-    @classmethod
     def for_canvas(cls, side: float) -> "ParamRanges":
         if side <= 0:
             raise ConfigError(f"canvas side must be positive, got {side}")
@@ -53,10 +49,6 @@ class ParamRanges:
 
     def clamp(self, vector: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(vector, dtype=np.float64), self.lo, self.hi)
-
-    def contains(self, vector: np.ndarray) -> bool:
-        v = np.asarray(vector, dtype=np.float64)
-        return bool(np.all(v >= self.lo) and np.all(v <= self.hi))
 
     def normalize(self, vector: np.ndarray) -> np.ndarray:
         return (np.asarray(vector, dtype=np.float64) - self.lo) / self.span
@@ -82,21 +74,6 @@ class BezierStroke:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vector", _check_vector(self.vector))
-
-    @classmethod
-    def from_parts(
-        cls, points: np.ndarray, color: np.ndarray, opacity: float, width: float
-    ) -> "BezierStroke":
-        points = np.asarray(points, dtype=np.float64)
-        if points.shape != (4, 2):
-            raise ConfigError(f"expected 4 control points, got shape {points.shape}")
-        vec = np.concatenate([points.ravel(), np.asarray(color, dtype=np.float64),
-                              [float(opacity), float(width)]])
-        return cls(vec)
-
-    @property
-    def control_points(self) -> np.ndarray:
-        return self.vector[:8].reshape(4, 2)
 
     @property
     def color(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command line harness: every subcommand, exit codes, and replay fidelity."""
 
+import argparse
 import csv
 import json
 import os
@@ -11,9 +12,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from strokecraft import nn
+from strokecraft import cli, nn
 from strokecraft.cli import (
     BYTE_REGION_DRAWS,
+    build_parser,
     flip_stroke_x,
     flip_stroke_y,
     main,
@@ -639,8 +641,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     ["train-predictor", "--epochs", "1", "--holdout-scenes", "-1", "--seed", "1"],
     ["paint", "--target", "t", "--predictor", "p", "--layers", "0"],
     ["gen-data", "--count", "1", "--seed", "-1"],
+    ["fit-stroke", "--target", "t", "--iterations", "2", "--seed", "1"],
 ], ids=["epochs", "batch-size", "negative-count", "zero-count", "canvas-size", "mc-draws",
-        "holdout-scenes", "layers", "negative-seed"])
+        "holdout-scenes", "layers", "negative-seed", "iterations"])
 def test_out_of_range_flag_exits_two_before_writing(tmp_path, argv):
     out = tmp_path / "out"
     done = subprocess.run([sys.executable, "-m", "strokecraft.cli", *argv, "--out", str(out)],
@@ -649,6 +652,50 @@ def test_out_of_range_flag_exits_two_before_writing(tmp_path, argv):
     assert "Traceback" not in done.stderr
     assert "must be an integer of at least" in done.stderr
     assert not out.exists()
+
+
+def float_flags():
+    """Every float-valued flag of every command, as the parser declares them."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return [pytest.param(name, action, id=f"{name} {action.option_strings[0]}")
+            for name, sub in commands.choices.items() for action in sub._actions
+            if action.type in (float, cli._lambda_triple)]
+
+
+def required_argv(command):
+    """The command's required flags other than --out, with values that pass the range checks."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    argv = [command]
+    for action in sub._actions:
+        if action.required and action.dest != "out":
+            argv += [action.option_strings[0], "1" if action.type is int else "missing"]
+    return argv
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, action", float_flags())
+def test_non_finite_float_flag_exits_two_before_writing(tmp_path, capsys, command, action, bad):
+    flag = action.option_strings[0]
+    values = ([",".join(bad if i == part else "1" for i in range(3)) for part in range(3)]
+              if action.type is cli._lambda_triple else [bad])
+    for value in values:
+        argv = required_argv(command) + [f"{flag}={value}"]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        # the same value recorded in a manifest is refused on replay
+        config = {k: v for k, v in vars(build_parser().parse_args(argv + ["--out", "x"])).items()
+                  if k != "command"}
+        if isinstance(config[action.dest], tuple):
+            config[action.dest] = list(config[action.dest])
+        RunManifest(command=command, config=config).save(tmp_path / "manifest.json")
+        assert main(["replay", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(out)]) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

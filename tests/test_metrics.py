@@ -305,7 +305,7 @@ def test_alpha_iou_both_empty_is_one():
 def test_alpha_iou_threshold_and_shape_check():
     a = np.full((2, 2), 0.4)
     b = np.full((2, 2), 0.6)
-    assert alpha_iou(a, b, threshold=0.5) == 0.0
-    assert alpha_iou(a, b, threshold=0.3) == 1.0
+    assert alpha_iou(a, b) == 0.0
+    assert alpha_iou(b, np.full((2, 2), 0.5)) == 1.0
     with pytest.raises(ConfigError):
         alpha_iou(np.zeros((2, 2)), np.zeros((2, 3)))

@@ -85,19 +85,20 @@ def padded_im2col(x, kh, kw, stride, pad):
 
 
 class TestInPlace:
-    @pytest.mark.parametrize("lr, betas", [(1e-3, (0.9, 0.999)), (3e-2, (0.5, 0.9))])
-    def test_adam_matches_the_plain_expression(self, lr, betas):
+    @pytest.mark.parametrize("lr", [1e-3, 3e-2])
+    def test_adam_matches_the_plain_expression(self, lr):
         rng = np.random.default_rng(21)
         size = 1000
         params = rng.normal(size=size)
         expected = params.copy()
         m, v = np.zeros(size), np.zeros(size)
-        adam = nn.Adam(size, lr=lr, beta1=betas[0], beta2=betas[1])
+        adam = nn.Adam(size, lr=lr)
         for t in range(1, 61):
             grad = rng.normal(size=size) * rng.uniform(0.0, 3.0)
             grad[:10] = 0.0  # moments that only decay
             adam.update(params, grad)
-            m, v = plain_adam_update(expected, grad, m, v, t, lr, betas[0], betas[1], 1e-8)
+            m, v = plain_adam_update(expected, grad, m, v, t, lr,
+                                     nn.Adam.beta1, nn.Adam.beta2, nn.Adam.eps)
             np.testing.assert_array_equal(params, expected)
         np.testing.assert_array_equal(adam.m, m)
         np.testing.assert_array_equal(adam.v, v)

@@ -176,7 +176,10 @@ class TestMatchConfig:
         {"margin": 0.0},
         {"margin": -1.0},
         {"max_strokes": 0},
-        {"presence_threshold": 1.5},
+        {"margin": float("nan")},
+        {"margin": float("inf")},
+        {"lambda_cos": float("nan")},
+        {"lambda_presence": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -217,11 +220,9 @@ class TestDomainTypes:
 
     def test_ground_truth_invariants(self):
         params = np.zeros(13)
-        GroundTruthStroke(params=params, x_shift=0.5, y_shift=0.5, order_index=1, d=0.0)
+        GroundTruthStroke(params=params, x_shift=0.5, y_shift=0.5, order_index=1)
         with pytest.raises(ConfigError):
             GroundTruthStroke(params=params, x_shift=0.5, y_shift=0.5, order_index=0)
-        with pytest.raises(ConfigError):
-            GroundTruthStroke(params=params, x_shift=0.5, y_shift=0.5, order_index=1, d=0.5)
 
 
 class TestPairwiseCost:
@@ -572,7 +573,7 @@ class TestPredictor:
         assert len(preds) == 8
         ranges = ParamRanges.for_canvas(32)
         for p in preds:
-            assert ranges.contains(p.params)
+            assert np.all(p.params >= ranges.lo) and np.all(p.params <= ranges.hi)
             assert 0.0 < p.scr_r < 1.0
             assert 0.0 <= p.d <= 1.0
             assert 0.0 <= p.x_shift <= 1.0 and 0.0 <= p.y_shift <= 1.0
@@ -651,16 +652,6 @@ class TestPredictor:
             fd = (up - down) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=max(1e-6, 1e-6 * abs(fd)))
 
-    def test_absent_ground_truth_is_ignored(self):
-        predictor = small_predictor()
-        current, target, gts = tiny_scene(3)
-        cfg = MatchConfig(max_strokes=3)
-        ghost = GroundTruthStroke(params=gts[0].params, x_shift=0.1, y_shift=0.1,
-                                  order_index=9, d=0.0)
-        with_ghost = loss_and_grad(predictor, current, target, gts + [ghost], cfg)[0]
-        without = loss_and_grad(predictor, current, target, gts, cfg)[0]
-        assert with_ghost == without
-
 
 class TestRealizeAndOrder:
     def test_realize_translates_by_shift_and_origin(self):
@@ -695,8 +686,7 @@ class TestCompositing:
     def thin_stroke(x0, y0, x1, y1, color, opacity=1.0, width=3.0):
         pts = np.array([[x0, y0], [x0 + (x1 - x0) / 3, y0 + (y1 - y0) / 3],
                         [x0 + 2 * (x1 - x0) / 3, y0 + 2 * (y1 - y0) / 3], [x1, y1]])
-        return BezierStroke.from_parts(pts, np.asarray(color, dtype=np.float64),
-                                       opacity, width)
+        return BezierStroke(np.concatenate([pts.ravel(), color, [opacity, width]]))
 
     @classmethod
     def as_placed(cls, stroke, scr):

@@ -32,11 +32,6 @@ class TestWrite:
         write_pixmap(path, Canvas(np.array([[0.0, 1.0]])))
         assert path.read_bytes() == b"P5\n2 1\n255\n" + bytes([0, 255])
 
-    def test_accepts_raw_arrays(self, tmp_path):
-        path = tmp_path / "raw.pgm"
-        write_pixmap(path, np.ones((2, 2)))
-        assert read_pixmap(path).channels == 1
-
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(DataIOError):
             write_pixmap(tmp_path / "no" / "dir.pgm", Canvas(np.ones((1, 1))))

@@ -6,7 +6,6 @@ arithmetic for the signal-to-noise examples.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,39 +273,6 @@ class TestSnrTrajectory:
             np.testing.assert_allclose(lifted - base, eta, rtol=1e-9)
             assert np.all(lifted > base)
 
-    def test_inflated_convention_exact_rational_example(self):
-        # alpha_bar = 1/2, eta_eff = 9/100: signal (1/2 + 9/200), noise 109/200, ratio 1
-        ab = Fraction(1, 2)
-        eta = Fraction(9, 100)
-        ratio = (ab + eta * (1 - ab)) / ((1 + eta) * (1 - ab))
-        assert ratio == 1
-        s = schedule_from_betas([0.5])
-        got = snr_trajectory(s, 0.09, noise_floor="inflated")
-        assert math.sqrt(got[0]) == 1.0
-
-    def test_inflated_convention_matches_rational_oracle(self):
-        s = build_schedule(50)
-        for eta in (Fraction(1, 10), Fraction(2, 5)):
-            got = snr_trajectory(s, float(eta), noise_floor="inflated")
-            for t in (0, 10, 49):
-                ab = Fraction(float(s.alpha_bars[t]))
-                want = (ab + eta * (1 - ab)) / ((1 + eta) * (1 - ab))
-                np.testing.assert_allclose(got[t], float(want), rtol=1e-14)
-
-    def test_inflated_convention_crosses_the_standard_curve(self):
-        # above alpha_bar = 1/2 the inflated ratio dips below the plain one;
-        # that is why the prior-as-signal reading keeps the baseline floor
-        s = build_schedule(1000)
-        inflated = snr_trajectory(s, 0.25, noise_floor="inflated")
-        base = snr_trajectory(s, 0.0)
-        high = s.alpha_bars > 0.5
-        assert np.all(inflated[high] < base[high])
-        assert np.all(inflated[~high] >= base[~high])
-
-    def test_rejects_unknown_floor(self):
-        with pytest.raises(ConfigError):
-            snr_trajectory(build_schedule(10), 0.1, noise_floor="other")
-
 
 class TestEtaSampling:
     def test_uniform_mode_moments_and_support(self):
@@ -335,8 +301,9 @@ class TestEtaSampling:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SmrConfig(eta_mode="gaussian")
-        with pytest.raises(ConfigError):
-            SmrConfig(upsilon=-0.1)
+        for upsilon in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                SmrConfig(upsilon=upsilon)
         with pytest.raises(ConfigError):
             SmrConfig(prior_mode="spiral")
         with pytest.raises(ConfigError):
