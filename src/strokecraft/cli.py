@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -366,7 +367,7 @@ def run_replay(config: dict) -> RunManifest:
 
 def _config_keys(command: str) -> dict[str, argparse.Action]:
     """The config keys a command's runner reads: the destinations of its flags."""
-    commands = next(a for a in build_parser()._actions
+    commands = next(a for a in _parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
     return {a.dest: a for a in commands.choices[command]._actions if a.dest != "help"}
 
@@ -408,17 +409,26 @@ MINIMUMS = {
 }
 
 
+def _is_finite(value) -> bool:
+    """Whether a number is a finite float; a recorded int past float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_ranges(command: str, config: dict) -> None:
-    """Reject out-of-range counts and non-finite floats before a command writes anything."""
+    """Reject out-of-range counts and non-finite float flags before a command writes anything."""
     for key, least in MINIMUMS.get(command, {}).items():
         value = config[key]
         if not isinstance(value, int) or value < least:
             flag = "--" + key.replace("_", "-")
             raise ConfigError(f"{flag} must be an integer of at least {least}, got {value!r}")
-    for key, value in config.items():
-        parts = value if isinstance(value, list) else [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in parts):
-            raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
+    for key, action in _config_keys(command).items():
+        if action.type in (float, _lambda_triple):
+            value = config[key]
+            if not all(map(_is_finite, value if isinstance(value, list) else [value])):
+                raise ConfigError(f"{action.option_strings[0]} must be finite, got {value!r}")
 
 
 RUNNERS = {
@@ -535,9 +545,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: main parses with it, the config checks read its flags."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     command = args.command
     config = {k: v for k, v in vars(args).items() if k != "command"}
     if "lambda_m" in config:

@@ -58,7 +58,7 @@ class RunManifest:
     def from_json(cls, text: str, source: str = "<string>") -> "RunManifest":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer too long to convert
             raise DataIOError(f"malformed manifest {source}: {exc}") from exc
         if not isinstance(payload, dict):
             raise DataIOError(f"manifest {source} must hold a JSON object")

@@ -206,7 +206,7 @@ def load_checkpoint(path) -> tuple[dict, np.ndarray]:
         raise DataIOError(f"checkpoint {path} truncated inside the header")
     try:
         header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to convert
         raise DataIOError(f"checkpoint {path} has a malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataIOError(f"checkpoint {path} header is not a JSON object")

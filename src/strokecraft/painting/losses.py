@@ -118,14 +118,72 @@ class GroundTruthStroke:
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's assignment solver, imported on first use.
+    """Shortest augmenting path assignment of a finite 2-D cost matrix.
 
-    Importing scipy.optimize takes about half a second, which every command
-    that never matches strokes would otherwise pay at start-up.
+    The method of D. F. Crouse, "On implementing 2D rectangular assignment
+    algorithms" (IEEE TAES 52(4), 2016), step for step as the oracle solver
+    of the tests takes it, so that ties resolve to the same indices: rows
+    are added in order, columns are scanned from a remaining list that
+    starts reversed, an equal reduced cost prefers an unassigned column,
+    and a matrix with more rows than columns is solved transposed. Returns
+    the row indices in ascending order and the column assigned to each.
     """
-    from scipy.optimize import linear_sum_assignment as solve
-
-    return solve(cost)
+    transpose = cost.shape[0] > cost.shape[1]
+    c = (cost.T if transpose else cost).tolist()
+    nr, nc = sorted(cost.shape)  # the matrix solved is never tall
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for current in range(nr):
+        shortest = [inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        rows_seen = []
+        cols_seen = []
+        min_val = 0.0
+        i = current
+        sink = -1
+        while sink < 0:
+            rows_seen.append(i)
+            ci, ui = c[i], u[i]
+            lowest = inf
+            index = -1
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or s == lowest and row4col[j] < 0:
+                    lowest = s
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # rows_seen[0] is the current row, which no column holds yet
+        u[current] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == current:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return np.array(sorted(col4row), dtype=np.int64), np.array(order, dtype=np.int64)
+    return np.arange(nr, dtype=np.int64), np.array(col4row, dtype=np.int64)
 
 
 def hungarian_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +193,7 @@ def hungarian_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"cost matrix must be 2-D, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ConfigError("cost matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(cost)
-    return rows, cols
+    return linear_sum_assignment(cost)
 
 
 def matching_loss(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,

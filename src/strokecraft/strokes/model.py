@@ -116,7 +116,7 @@ def save_strokes(path, strokes: list[BezierStroke]) -> None:
 def load_strokes(path) -> list[BezierStroke]:
     try:
         payload = json.loads(files.read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise DataIOError(f"malformed stroke file {path}: {exc}") from exc
     if not isinstance(payload, list):
         raise DataIOError(f"stroke file {path} must hold a JSON array")

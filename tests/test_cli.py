@@ -455,6 +455,22 @@ class TestReplay:
         manifest = RunManifest.load(replayed / "manifest.json")
         assert manifest.config["out"] == str(replayed)
 
+    def test_replay_builds_the_parser_once(self, workspace, tmp_path, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(True)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            assert main(["replay", "--manifest", str(workspace / "data" / "manifest.json"),
+                         "--out", str(tmp_path / "replayed")]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
     def test_metrics_replay_is_byte_identical(self, workspace, tmp_path):
         first = tmp_path / "m1"
         second = tmp_path / "m2"
@@ -624,11 +640,19 @@ class TestFileBoundary:
         assert name in err and "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    probe = "import sys, strokecraft.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "False"
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    """Neither the import nor a train-predictor run, which matches strokes, loads scipy."""
+    probe = ("import sys, strokecraft.cli\n"
+             "print('scipy.optimize' in sys.modules)\n"
+             "code = strokecraft.cli.main(sys.argv[1:])\n"
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    argv = ["train-predictor", "--epochs", "1", "--scenes-per-epoch", "2",
+            "--holdout-scenes", "2", "--seed", "1", "--out", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=src_env(),
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 []"
 
 
 @pytest.mark.parametrize("argv", [
@@ -696,6 +720,24 @@ def test_non_finite_float_flag_exits_two_before_writing(tmp_path, capsys, comman
                      "--out", str(out)]) == 2
         assert f"{flag} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, action", float_flags())
+def test_replayed_int_past_float_range_exits_two_before_writing(tmp_path, capsys, command,
+                                                                 action):
+    flag = action.option_strings[0]
+    argv = required_argv(command) + ["--out", str(tmp_path / "out")]
+    config = {k: v for k, v in vars(build_parser().parse_args(argv)).items() if k != "command"}
+    huge = 10**400
+    values = ([[huge if i == part else 1 for i in range(3)] for part in range(3)]
+              if action.type is cli._lambda_triple else [huge])
+    for value in values:
+        config[action.dest] = value
+        RunManifest(command=command, config=config).save(tmp_path / "manifest.json")
+        assert main(["replay", "--manifest", str(tmp_path / "manifest.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

@@ -160,6 +160,13 @@ class TestCheckpoints:
         with pytest.raises(DataIOError):
             Denoiser.load(path)
 
+    def test_header_with_an_integer_too_long_to_convert_rejected(self, tmp_path):
+        header = b"[1" + b"0" * 5000 + b"]"
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(len(header).to_bytes(4, "little") + header)
+        with pytest.raises(DataIOError):
+            Denoiser.load(path)
+
     def test_header_that_is_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "list.ckpt"
         path.write_bytes(b"\x03\x00\x00\x00[1]" + b"\x00" * 8)

@@ -64,6 +64,12 @@ class TestLoading:
         with pytest.raises(DataIOError):
             RunManifest.load(path)
 
+    def test_integer_too_long_to_convert(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"command": "x", "config": {"lr": 1' + "0" * 5000 + '}}')
+        with pytest.raises(DataIOError):
+            RunManifest.load(path)
+
     def test_missing_fields(self):
         with pytest.raises(DataIOError):
             RunManifest.from_json('{"command": "x"}')

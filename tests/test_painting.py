@@ -5,6 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from strokecraft.errors import ConfigError, NumericalError
 from strokecraft.painting import (
@@ -331,6 +332,33 @@ class TestHungarian:
             cost = rng.uniform(0.0, 5.0, (3, 5))
             rows, cols = hungarian_assignment(cost)
             assert cost[rows, cols].sum() == pytest.approx(brute_force_assignment(cost)[0])
+
+    @pytest.mark.parametrize("seed, family",
+                             enumerate(["normal", "ties", "duplicate-column-zero-row"]))
+    def test_indices_equal_scipy(self, seed, family):
+        """Same rows and columns as scipy's solver, ties included, on every shape to 8x8."""
+        rng = np.random.default_rng(seed)
+        shapes = [(r, k) for r in range(1, 9) for k in range(1, 9)]
+        for trial in range(3000):
+            shape = shapes[trial % len(shapes)]
+            if family == "ties":
+                cost = rng.integers(0, 3, shape).astype(np.float64)
+            else:
+                cost = rng.standard_normal(shape)
+            if family == "duplicate-column-zero-row":
+                cost[:, rng.integers(shape[1])] = cost[:, 0]
+                cost[rng.integers(shape[0])] = 0.0
+            rows, cols = hungarian_assignment(cost)
+            want_rows, want_cols = scipy_assignment(cost)
+            assert rows.tolist() == want_rows.tolist(), cost
+            assert cols.tolist() == want_cols.tolist(), cost
+
+    def test_empty_matrices(self):
+        for shape in [(0, 0), (0, 3), (3, 0)]:
+            rows, cols = hungarian_assignment(np.zeros(shape))
+            want_rows, want_cols = scipy_assignment(np.zeros(shape))
+            assert rows.tolist() == want_rows.tolist() == []
+            assert cols.tolist() == want_cols.tolist() == []
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(ConfigError):

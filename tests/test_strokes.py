@@ -88,6 +88,10 @@ def test_load_strokes_rejects_malformed_files(tmp_path):
     garbage.write_text("{not json")
     with pytest.raises(DataIOError):
         load_strokes(garbage)
+    long_int = tmp_path / "long.json"
+    long_int.write_text("[[1" + "0" * 5000 + "]]")
+    with pytest.raises(DataIOError):
+        load_strokes(long_int)
     scalar = tmp_path / "scalar.json"
     scalar.write_text("42")
     with pytest.raises(DataIOError):
