@@ -129,8 +129,8 @@ def _draw_augmented(rng, side: int, channels: int, config: dict
         if config["rotations"]:
             for _ in range(int(rng.integers(4))):
                 vec = rotate_stroke_ccw(vec, side)
-        stroke = BezierStroke(vec)
-        if config["flips"] or config["rotations"]:
+        if vec is not stroke.vector:  # flipped or turned: render where it moved to
+            stroke = BezierStroke(vec)
             canvas, _ = rasterize_stroke(stroke, side, channels=channels)
         # acceptance judged float pixels; rounding to bytes can split or erase a faint region
         image = quantize(canvas.pixels)

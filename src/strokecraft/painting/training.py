@@ -11,7 +11,7 @@ from ..errors import ConfigError, NumericalError
 from ..strokes.canvas import Canvas
 from ..strokes.generate import generate_visible_stroke
 from ..strokes.model import PARAM_COUNT
-from ..strokes.raster import DEFAULT_SAMPLES, compose_over, polyline_points
+from ..strokes.raster import DEFAULT_SAMPLES, _compose_rendered, polyline_points
 from .losses import GroundTruthStroke, MatchConfig
 from .predictor import StrokePredictor, forward_loss, loss_and_grad
 
@@ -54,15 +54,16 @@ def make_scene(rng: np.random.Generator, side: int = DEFAULT_SCENE_SIDE, *,
     if not 1 <= min_strokes <= max_strokes:
         raise ConfigError(f"bad stroke count bounds [{min_strokes}, {max_strokes}]")
     count = int(rng.integers(min_strokes, max_strokes + 1))
-    strokes = [
-        generate_visible_stroke(rng, side, channels=channels, identifiable_iou=None)[0]
+    drawn = [
+        generate_visible_stroke(rng, side, channels=channels, identifiable_iou=None)
         for _ in range(count)
     ]
-    strokes.sort(key=lambda s: float(sum(stroke_centroid(s.vector))))
+    drawn.sort(key=lambda d: float(sum(stroke_centroid(d[0].vector))))
     target = Canvas.white((side, side), channels)
     gts = []
-    for index, stroke in enumerate(strokes, start=1):
-        target = compose_over(target, stroke)
+    for index, (stroke, _, alpha) in enumerate(drawn, start=1):
+        # the draw's full-canvas alpha, so the stroke is not rasterized again
+        target = _compose_rendered(target, stroke, alpha)
         gts.append(ground_truth_from_stroke(stroke.vector, side, index))
     return Canvas.white((side, side), channels), target, gts
 

@@ -8,7 +8,7 @@ from ..errors import NumericalError
 from ..metrics import alpha_iou, connected_regions, label_components
 from .canvas import Canvas
 from .model import BezierStroke, ParamRanges, generate_random_stroke, max_opacity_equivalent
-from .raster import rasterize_stroke
+from .raster import _blend, coverage_batch
 
 MIN_CORE_PIXELS = 25
 MAX_TRIES = 1000
@@ -28,22 +28,27 @@ def generate_visible_stroke(rng: np.random.Generator, side: int, *,
     failing that last check cannot be recovered from pixels alone.
     """
     ranges = ParamRanges.for_canvas(side)
-    shape = (side, side)
     for _ in range(MAX_TRIES):
         stroke = generate_random_stroke(rng, ranges)
-        canvas, alpha = rasterize_stroke(stroke, shape, channels=channels)
+        # Coverage never exceeds opacity, so a fainter draw has an empty core.
+        if not stroke.opacity >= 0.5:
+            continue
+        # The twin shares the control polygon, so both rows share one distance field.
+        rows = [stroke.vector]
+        if identifiable_iou is not None:
+            rows.append(max_opacity_equivalent(stroke).vector)
+        alphas = coverage_batch(np.stack(rows), side, side)
+        alpha = alphas[0]
         core = alpha >= 0.5
         if int(core.sum()) < MIN_CORE_PIXELS:
             continue
         _, core_count = label_components(core)
         if core_count != 1:
             continue
+        canvas = Canvas(_blend(Canvas.white((side, side), channels).pixels, stroke, alpha))
         if connected_regions(canvas.pixels).region_count != 1:
             continue
-        if identifiable_iou is not None:
-            _, twin_alpha = rasterize_stroke(max_opacity_equivalent(stroke), shape,
-                                             channels=channels)
-            if alpha_iou(alpha, twin_alpha) < identifiable_iou:
-                continue
+        if identifiable_iou is not None and alpha_iou(alpha, alphas[1]) < identifiable_iou:
+            continue
         return stroke, canvas, alpha
     raise NumericalError(f"no acceptable stroke after {MAX_TRIES} draws")

@@ -27,7 +27,13 @@ width/2 + DEFAULT_SOFTNESS * ln(1/TAIL) and clipped to the canvas.  Since
 sigmoid(z) < exp(z), every pixel outside the window would get coverage below
 opacity * TAIL, so leaving it untouched moves it by at most TAIL.  Pixels
 inside the window are bit-identical to a full-canvas rasterization.
-``stroke_alpha`` and ``rasterize_stroke`` still cover the whole canvas.
+
+Stroke generation renders each draw once, over the whole canvas: a stroke and
+its opacity-maximised twin share a control polygon, so one ``coverage_batch``
+call renders both from one field, and the canvas over white is blended from
+that coverage. A training scene composites each stroke from its draw's
+coverage, sliced to the footprint window, which gives the bits
+``compose_over`` would.
 """
 
 from __future__ import annotations
@@ -216,23 +222,39 @@ def footprint_window(vector: np.ndarray, height: int, width: int) -> tuple[slice
     return rows, cols
 
 
+def _blend(pixels: np.ndarray, stroke: BezierStroke, alpha: np.ndarray) -> np.ndarray:
+    """``stroke`` at coverage ``alpha`` (H, W) over ``pixels`` (H, W, C)."""
+    alpha = alpha[:, :, None]
+    return alpha * _stroke_channels(stroke, pixels.shape[2]) + (1.0 - alpha) * pixels
+
+
+def _compose_window(base: Canvas, stroke: BezierStroke, alpha: np.ndarray,
+                    rows: slice, cols: slice) -> Canvas:
+    """A copy of ``base`` with ``stroke`` at coverage ``alpha`` over rows x cols."""
+    out = base.copy()
+    out.pixels[rows, cols] = _blend(out.pixels[rows, cols], stroke, alpha)
+    return out
+
+
 def compose_over(base: Canvas, stroke: BezierStroke) -> Canvas:
     """Alpha-composite one stroke over a canvas; returns a new canvas.
 
     Only the footprint window is rasterized; every other pixel would move
     by at most TAIL and is copied unchanged.
     """
-    out = base.copy()
     rows, cols = footprint_window(stroke.vector, base.height, base.width)
     if rows.start >= rows.stop or cols.start >= cols.stop:
-        return out
+        return base.copy()
     alpha = coverage_batch(stroke.vector[None, :], rows.stop - rows.start,
-                           cols.stop - cols.start,
-                           origin=(rows.start, cols.start))[0, :, :, None]
-    color = _stroke_channels(stroke, base.channels)
-    window = out.pixels[rows, cols]
-    out.pixels[rows, cols] = alpha * color + (1.0 - alpha) * window
-    return out
+                           cols.stop - cols.start, origin=(rows.start, cols.start))[0]
+    return _compose_window(base, stroke, alpha, rows, cols)
+
+
+def _compose_rendered(base: Canvas, stroke: BezierStroke, alpha: np.ndarray) -> Canvas:
+    """``compose_over`` from the stroke's full-canvas coverage ``alpha``, already
+    rendered: the same bits, sliced to the footprint window, not rasterized again."""
+    rows, cols = footprint_window(stroke.vector, base.height, base.width)
+    return _compose_window(base, stroke, alpha[rows, cols], rows, cols)
 
 
 def rasterize_stroke(stroke: BezierStroke, shape, channels: int = 3
@@ -242,6 +264,4 @@ def rasterize_stroke(stroke: BezierStroke, shape, channels: int = 3
         shape = (int(shape), int(shape))
     base = Canvas.white(shape, channels)
     alpha = stroke_alpha(stroke, shape)
-    color = _stroke_channels(stroke, channels)
-    pixels = alpha[:, :, None] * color + (1.0 - alpha[:, :, None]) * base.pixels
-    return Canvas(pixels), alpha
+    return Canvas(_blend(base.pixels, stroke, alpha)), alpha

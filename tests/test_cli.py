@@ -110,6 +110,53 @@ class TestAugmentations:
             vec = rotate_stroke_ccw(vec, 24)
         np.testing.assert_allclose(vec, stroke.vector, atol=1e-12)
 
+    @staticmethod
+    def rendering_every_draw(rng, side, channels, config):
+        """gen-data's draw as it was: every draw rendered again when either flag is set."""
+        from strokecraft.strokes.model import BezierStroke
+
+        for _ in range(BYTE_REGION_DRAWS):
+            stroke, canvas, _ = generate_visible_stroke(rng, side, channels=channels)
+            vec = stroke.vector
+            if config["flips"]:
+                if rng.integers(2):
+                    vec = flip_stroke_x(vec, side)
+                if rng.integers(2):
+                    vec = flip_stroke_y(vec, side)
+            if config["rotations"]:
+                for _ in range(int(rng.integers(4))):
+                    vec = rotate_stroke_ccw(vec, side)
+            stroke = BezierStroke(vec)
+            canvas, _ = rasterize_stroke(stroke, side, channels=channels)
+            image = quantize(canvas.pixels)
+            if connected_regions(image / 255.0).region_count == 1:
+                return stroke, image
+        raise NumericalError("no stroke stayed one region")
+
+    @pytest.mark.parametrize("flips, rotations", [(True, True), (True, False), (False, True)])
+    def test_only_moved_strokes_are_rendered_again(self, flips, rotations, monkeypatch):
+        config = {"flips": flips, "rotations": rotations}
+        draws, renders = [], []
+
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for seed in range(16):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "generate_visible_stroke",
+                              counted(draws, generate_visible_stroke))
+                patch.setattr(cli, "rasterize_stroke", counted(renders, rasterize_stroke))
+                stroke, image = cli._draw_augmented(rng, 16, 1, config)
+            ref_stroke, ref_image = self.rendering_every_draw(reference_rng, 16, 1, config)
+            np.testing.assert_array_equal(stroke.vector, ref_stroke.vector)
+            np.testing.assert_array_equal(image, ref_image)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert 0 < len(renders) < len(draws)
+
 
 class TestGenData:
     def test_images_match_their_parameters(self, workspace):

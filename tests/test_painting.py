@@ -42,6 +42,7 @@ from strokecraft.strokes import (
     ParamRanges,
     compose_over,
     generate_random_stroke,
+    generate_visible_stroke,
 )
 
 CFG = MatchConfig()
@@ -892,6 +893,36 @@ class TestSceneGeneration:
         b = make_scene(np.random.default_rng(30), 32, min_strokes=2, max_strokes=4)
         np.testing.assert_array_equal(a[1].pixels, b[1].pixels)
         assert len(a[2]) == len(b[2])
+
+    @staticmethod
+    def rasterizing_scene(rng, side, channels):
+        """make_scene as it composited before: sort, then compose_over per stroke,
+        which rasterizes each stroke's footprint window again."""
+        count = int(rng.integers(1, 9))
+        strokes = [generate_visible_stroke(rng, side, channels=channels, identifiable_iou=None)[0]
+                   for _ in range(count)]
+        strokes.sort(key=lambda s: float(sum(stroke_centroid(s.vector))))
+        target = Canvas.white((side, side), channels)
+        gts = []
+        for index, stroke in enumerate(strokes, start=1):
+            target = compose_over(target, stroke)
+            gts.append(ground_truth_from_stroke(stroke.vector, side, index))
+        return Canvas.white((side, side), channels), target, gts
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_scene_equals_compositing_by_rasterizing_again(self, channels):
+        for seed in range(50):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            current, target, gts = make_scene(rng, 32, channels=channels)
+            ref_current, ref_target, ref_gts = self.rasterizing_scene(reference_rng, 32, channels)
+            np.testing.assert_array_equal(current.pixels, ref_current.pixels)
+            np.testing.assert_array_equal(target.pixels, ref_target.pixels)
+            assert len(gts) == len(ref_gts)
+            for gt, ref in zip(gts, ref_gts):
+                np.testing.assert_array_equal(gt.params, ref.params)
+                assert (gt.x_shift, gt.y_shift, gt.order_index) == (
+                    ref.x_shift, ref.y_shift, ref.order_index)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigError):

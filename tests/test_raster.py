@@ -5,6 +5,9 @@ bit, also when calls of different shapes take turns with the kept scratch
 buffers, coverage of a batch whose rows share geometry must equal one call per
 row to the bit, and the windowed compositing must equal full-canvas
 compositing to the bit inside the footprint window and within TAIL outside.
+The visible-stroke sampler's shortcuts rest on two facts checked here: a draw
+whose opacity is below 0.5 has no pixel at coverage 0.5, and a stroke and its
+opacity-maximised twin rendered in one call are bit-equal to two renders.
 """
 
 import numpy as np
@@ -14,7 +17,12 @@ from strokecraft.errors import ConfigError
 from strokecraft.strokes import fit_stroke, generate_visible_stroke
 from strokecraft.strokes import fitting, raster
 from strokecraft.strokes.canvas import Canvas
-from strokecraft.strokes.model import BezierStroke, ParamRanges, generate_random_stroke
+from strokecraft.strokes.model import (
+    BezierStroke,
+    ParamRanges,
+    generate_random_stroke,
+    max_opacity_equivalent,
+)
 from strokecraft.strokes.raster import (
     TAIL,
     compose_over,
@@ -22,6 +30,7 @@ from strokecraft.strokes.raster import (
     distance_field_batch,
     footprint_window,
     polyline_points,
+    rasterize_stroke,
     stroke_alpha,
 )
 
@@ -313,6 +322,40 @@ class TestFootprintWindow:
         assert got is not base and got.pixels is not base.pixels
         np.testing.assert_array_equal(got.pixels, base.pixels)
         assert np.abs(full_canvas_compose(base, stroke) - got.pixels).max() <= TAIL
+
+
+class TestVisibleStrokeShortcuts:
+    @pytest.mark.parametrize("side", [16, 32])
+    def test_opacity_below_one_half_never_reaches_the_core(self, side):
+        rng = np.random.default_rng(side)
+        vectors = random_vectors(side + 1, 400, side)
+        # widths up to four canvases, so the sigmoid saturates to exactly 1
+        vectors[:, 12] = np.exp(rng.uniform(np.log(0.05), np.log(4.0 * side), 400))
+        vectors[:200, 11] = np.nextafter(0.5, 0.0)
+        vectors[200:, 11] = rng.uniform(0.0, 0.5, 200)
+        coverage = coverage_batch(vectors, side, side)
+        assert coverage.max() < 0.5
+        assert coverage[:200].max() == np.nextafter(0.5, 0.0)
+
+    def test_opacity_one_half_can_reach_the_core(self):
+        # why the sampler skips only opacity < 0.5: a wide stroke at exactly
+        # 0.5 has core pixels, so it must still be rasterized and judged
+        stroke = BezierStroke(np.array([2.0, 8.0, 6.0, 8.0, 10.0, 8.0, 14.0, 8.0,
+                                        0.0, 0.0, 0.0, 0.5, 200.0]))
+        alpha = stroke_alpha(stroke, (16, 16))
+        assert alpha.max() == 0.5
+        assert (alpha >= 0.5).sum() > 0
+
+    def test_stroke_and_twin_in_one_call_equal_two_renders(self):
+        rng = np.random.default_rng(41)
+        for side in (16, 24, 32):
+            ranges = ParamRanges.for_canvas(side)
+            for _ in range(167):
+                stroke = generate_random_stroke(rng, ranges)
+                twin = max_opacity_equivalent(stroke)
+                pair = coverage_batch(np.stack([stroke.vector, twin.vector]), side, side)
+                np.testing.assert_array_equal(pair[0], rasterize_stroke(stroke, side)[1])
+                np.testing.assert_array_equal(pair[1], rasterize_stroke(twin, side)[1])
 
 
 def test_coverage_rejects_bad_samples_and_softness():

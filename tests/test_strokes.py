@@ -279,3 +279,65 @@ def test_visible_stroke_exhaustion_raises(monkeypatch):
     rng = np.random.default_rng(1)
     with pytest.raises(NumericalError):
         generate_visible_stroke(rng, 32)
+
+
+def rasterizing_visible_stroke(rng, side, *, channels=3, identifiable_iou=0.9):
+    """The sampler as it was before the opacity skip and the shared twin field:
+    every draw is rasterized in full, and the twin is rendered on its own."""
+    ranges = ParamRanges.for_canvas(side)
+    shape = (side, side)
+    for _ in range(generate.MAX_TRIES):
+        stroke = generate_random_stroke(rng, ranges)
+        canvas, alpha = rasterize_stroke(stroke, shape, channels=channels)
+        core = alpha >= 0.5
+        if int(core.sum()) < generate.MIN_CORE_PIXELS:
+            continue
+        _, core_count = label_components(core)
+        if core_count != 1:
+            continue
+        if connected_regions(canvas.pixels).region_count != 1:
+            continue
+        if identifiable_iou is not None:
+            _, twin_alpha = rasterize_stroke(max_opacity_equivalent(stroke), shape,
+                                             channels=channels)
+            if alpha_iou(alpha, twin_alpha) < identifiable_iou:
+                continue
+        return stroke, canvas, alpha
+    raise NumericalError(f"no acceptable stroke after {generate.MAX_TRIES} draws")
+
+
+@pytest.mark.parametrize("side", [16, 24, 32])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("identifiable_iou", [0.9, None])
+def test_visible_stroke_equals_rasterizing_every_draw(side, channels, identifiable_iou):
+    for seed in range(17):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stroke, canvas, alpha = generate_visible_stroke(
+            rng, side, channels=channels, identifiable_iou=identifiable_iou)
+        ref_stroke, ref_canvas, ref_alpha = rasterizing_visible_stroke(
+            reference_rng, side, channels=channels, identifiable_iou=identifiable_iou)
+        np.testing.assert_array_equal(stroke.vector, ref_stroke.vector)
+        np.testing.assert_array_equal(canvas.pixels, ref_canvas.pixels)
+        np.testing.assert_array_equal(alpha, ref_alpha)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_exhaustion_counts_skipped_draws(monkeypatch):
+    monkeypatch.setattr(generate, "MIN_CORE_PIXELS", 10_000)
+    monkeypatch.setattr(generate, "MAX_TRIES", 40)
+    opacities = []
+
+    def recording(rng, ranges):
+        stroke = generate_random_stroke(rng, ranges)
+        opacities.append(stroke.opacity)
+        return stroke
+
+    monkeypatch.setattr(generate, "generate_random_stroke", recording)
+    rng, reference_rng = np.random.default_rng(1), np.random.default_rng(1)
+    with pytest.raises(NumericalError):
+        generate_visible_stroke(rng, 32)
+    assert len(opacities) == 40
+    assert any(o < 0.5 for o in opacities) and any(o >= 0.5 for o in opacities)
+    with pytest.raises(NumericalError):
+        rasterizing_visible_stroke(reference_rng, 32)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
