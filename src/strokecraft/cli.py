@@ -106,10 +106,10 @@ def _save_manifest(command: str, config: dict, out: Path, outputs: dict,
 def _list_pixmaps(directory: Path) -> list[Path]:
     if not directory.is_dir():
         raise DataIOError(f"{directory} is not a directory")
-    files = sorted(p for p in directory.iterdir() if p.suffix in (".pgm", ".ppm"))
-    if not files:
+    pixmaps = sorted(p for p in directory.iterdir() if p.suffix in (".pgm", ".ppm"))
+    if not pixmaps:
         raise DataIOError(f"no pixmaps found in {directory}")
-    return files
+    return pixmaps
 
 
 def _draw_augmented(rng, side: int, channels: int, config: dict
@@ -321,6 +321,8 @@ def run_paint(config: dict) -> RunManifest:
 def run_metrics(config: dict) -> RunManifest:
     images = _list_pixmaps(Path(config["images"]))
     ref_dir = Path(config["ref"]) if config["ref"] else None
+    if ref_dir is not None and not ref_dir.is_dir():
+        raise DataIOError(f"--ref {ref_dir} is not a directory")
     rows = []
     for path in images:
         try:

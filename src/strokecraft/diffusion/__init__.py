@@ -23,7 +23,7 @@ from .process import (
 )
 from .sampler import ancestral_sample
 from .schedule import SCHEDULE_MODES, NoiseSchedule, build_schedule
-from .training import DiffusionTrainResult, smr_training_loss, train_diffusion
+from .training import DiffusionTrainResult, train_diffusion
 from .verify import IdentityCheck, all_passed, verify_identities
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "smr_forward_sample",
     "smr_marginal_moments",
     "smr_posterior_moments",
-    "smr_training_loss",
     "smr_transition_moments",
     "snr_trajectory",
     "tau_target",

@@ -68,19 +68,19 @@ class GaussianMoments:
 
 @dataclass(frozen=True)
 class SmrDraw:
-    """One forward draw together with the randomness that produced it."""
+    """One forward draw, or a batch of them, with the randomness that produced it."""
 
     x_t: np.ndarray
     eps: np.ndarray
     eps_star: np.ndarray
     x_s: np.ndarray
-    eta: float
-    t: int
+    eta: float | np.ndarray
+    t: int | np.ndarray
 
     @property
     def merged_eps(self) -> np.ndarray:
         """The standard normal ε̃ driving the grouped form of the draw."""
-        return (self.eps - math.sqrt(self.eta) * self.eps_star) / math.sqrt(1.0 + self.eta)
+        return (self.eps - np.sqrt(self.eta) * self.eps_star) / np.sqrt(1.0 + self.eta)
 
     @property
     def tau(self) -> np.ndarray:
@@ -88,11 +88,12 @@ class SmrDraw:
         return tau_target(self.merged_eps, self.x_s, self.eta)
 
 
-def _check_eta(eta: float) -> float:
-    eta = float(eta)
-    if not eta >= 0.0:
+def _check_eta(eta: float | np.ndarray) -> float | np.ndarray:
+    values = np.asarray(eta, dtype=np.float64)
+    if not np.all(values >= 0.0):
         raise ConfigError(f"eta must be non-negative, got {eta}")
-    return eta
+    # a scalar stays a Python float, so GaussianMoments variances keep their type
+    return float(values) if values.ndim == 0 else values
 
 
 def _check_same_shape(x0: np.ndarray, x_s: np.ndarray) -> None:
@@ -112,8 +113,8 @@ def ddpm_forward_sample(
 def smr_forward_sample(
     x0: np.ndarray,
     x_s: np.ndarray,
-    t: int,
-    eta: float,
+    t: int | np.ndarray,
+    eta: float | np.ndarray,
     schedule: NoiseSchedule,
     rng: np.random.Generator | None = None,
     eps: np.ndarray | None = None,
@@ -123,7 +124,9 @@ def smr_forward_sample(
 
     ε and ε* are drawn from ``rng`` unless injected explicitly (tests inject
     zeros to hit the deterministic part).  η = 0 reproduces the standard draw
-    bit for bit given the same ε.
+    bit for bit given the same ε.  For a batch, x0 and x_s are (B, D) rows and
+    ``t`` and ``eta`` are (B, 1) columns; each row equals the single draw with
+    that row's step, strength and noise, to the bit.
     """
     schedule.check_step(t)
     eta = _check_eta(eta)
@@ -140,10 +143,10 @@ def smr_forward_sample(
     eps = np.asarray(eps, dtype=np.float64)
     eps_star = np.asarray(eps_star, dtype=np.float64)
     ab = schedule.alpha_bars[t]
-    root = math.sqrt(1.0 - ab)
-    root_eta = math.sqrt(eta)
+    root = np.sqrt(1.0 - ab)
+    root_eta = np.sqrt(eta)
     x_t = (
-        math.sqrt(ab) * x0
+        np.sqrt(ab) * x0
         + root * eps
         + root * root_eta * x_s
         - root * root_eta * eps_star
@@ -257,10 +260,10 @@ def ddpm_posterior_mean_simplified(
     return (x_t - (1.0 - alpha) / math.sqrt(1.0 - ab) * eps) / math.sqrt(alpha)
 
 
-def tau_target(eps: np.ndarray, x_s: np.ndarray, eta: float) -> np.ndarray:
+def tau_target(eps: np.ndarray, x_s: np.ndarray, eta: float | np.ndarray) -> np.ndarray:
     """Regression target τ = √(1+η)·ε + √η·x_s for a merged standard normal ε."""
     eta = _check_eta(eta)
-    return math.sqrt(1.0 + eta) * np.asarray(eps, dtype=np.float64) + math.sqrt(
+    return np.sqrt(1.0 + eta) * np.asarray(eps, dtype=np.float64) + np.sqrt(
         eta
     ) * np.asarray(x_s, dtype=np.float64)
 

@@ -32,10 +32,12 @@ class NoiseSchedule:
     def num_steps(self) -> int:
         return self.betas.shape[0]
 
-    def check_step(self, t: int, lowest: int = 0) -> None:
-        if not isinstance(t, (int, np.integer)):
+    def check_step(self, t: int | np.ndarray, lowest: int = 0) -> None:
+        """Refuse a non-integer step or one outside [lowest, num_steps); t may be an array."""
+        steps = np.asarray(t)
+        if steps.dtype.kind not in "iu":  # bool is kind "b", so True is not step 1
             raise ConfigError(f"timestep must be an integer, got {t!r}")
-        if not lowest <= t < self.num_steps:
+        if not (np.all(lowest <= steps) and np.all(steps < self.num_steps)):
             raise ConfigError(
                 f"timestep {t} outside [{lowest}, {self.num_steps - 1}]"
             )

@@ -9,35 +9,8 @@ import numpy as np
 from ..errors import ConfigError, NumericalError
 from ..nn import Adam
 from .denoiser import DEFAULT_HIDDEN, Denoiser
-from .process import (
-    SmrConfig,
-    SmrDraw,
-    deterministic_prior_weight,
-    make_eta,
-    smr_forward_sample,
-)
+from .process import SmrConfig, deterministic_prior_weight, make_eta, smr_forward_sample
 from .schedule import NoiseSchedule
-
-
-def smr_training_loss(
-    denoiser: Denoiser, draws: list[SmrDraw], with_grad: bool = False
-):
-    """Mean squared error between τ targets and denoiser outputs over a batch.
-
-    Averages over every array element, so a zero-output denoiser scores the
-    mean squared entry of τ itself.  With ``with_grad`` the flat-parameter
-    gradient is returned alongside.
-    """
-    if not draws:
-        raise ConfigError("smr_training_loss needs a non-empty batch")
-    x = np.stack([d.x_t.ravel() for d in draws])
-    target = np.stack([d.tau.ravel() for d in draws])
-    t_vec = np.array([d.t for d in draws], dtype=np.float64)
-    if with_grad:
-        return denoiser.loss_and_grad(x, t_vec, target)
-    out = denoiser.predict(x, t_vec)
-    diff = out - target
-    return float(np.mean(diff * diff))
 
 
 @dataclass
@@ -56,7 +29,6 @@ def train_diffusion(
     batch_size: int = 32,
     lr: float = 1e-3,
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-    denoiser: Denoiser | None = None,
 ) -> DiffusionTrainResult:
     """Fit a τ-prediction net on a dataset of flattenable arrays.
 
@@ -66,18 +38,17 @@ def train_diffusion(
     that instance; the ramp modes derive η from the timestep instead.
     Divergence aborts with a diagnostic rather than returning garbage.
     """
+    if epochs < 1:
+        raise ConfigError(f"need at least one epoch, got {epochs}")
+    if batch_size < 1:
+        raise ConfigError(f"need a batch of at least one instance, got {batch_size}")
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim < 2:
         raise ConfigError(f"dataset must be (N, ...), got shape {data.shape}")
     n = data.shape[0]
     flat = data.reshape(n, -1)
     dim = flat.shape[1]
-    if denoiser is None:
-        denoiser = Denoiser.create(dim, hidden=hidden, rng=rng)
-    elif denoiser.arch["data_dim"] != dim:
-        raise ConfigError(
-            f"denoiser expects dim {denoiser.arch['data_dim']}, dataset has {dim}"
-        )
+    denoiser = Denoiser.create(dim, hidden=hidden, rng=rng)
 
     # (image index, prior index, per-instance eta or None for ramp modes)
     instances: list[tuple[int, int, float | None]] = []
@@ -96,20 +67,26 @@ def train_diffusion(
         order = rng.permutation(len(instances))
         total, seen = 0.0, 0
         for start in range(0, len(order), batch_size):
-            chunk = order[start : start + batch_size]
-            draws = []
-            for k in chunk:
-                i, j, eta = instances[k]
+            chunk = [instances[k] for k in order[start : start + batch_size]]
+            steps = np.empty(len(chunk), dtype=np.int64)
+            etas = np.empty(len(chunk))
+            noise = np.empty((len(chunk), 2, dim))
+            # each instance draws its step, then ε and ε* as one (2, dim) block,
+            # which is the stream of two dim-sized draws
+            for row, (_, _, eta) in enumerate(chunk):
                 t = int(rng.integers(0, num_steps))
                 if eta is None:
                     w = deterministic_prior_weight(
                         t, num_steps, config.prior_mode, w_max=config.upsilon
                     )
                     eta = float(w) ** 2
-                draws.append(
-                    smr_forward_sample(flat[i], flat[j], t, eta, schedule, rng=rng)
-                )
-            loss, grad = smr_training_loss(denoiser, draws, with_grad=True)
+                steps[row], etas[row] = t, eta
+                noise[row] = rng.standard_normal((2, dim))
+            draw = smr_forward_sample(
+                flat[[i for i, _, _ in chunk]], flat[[j for _, j, _ in chunk]],
+                steps[:, None], etas[:, None], schedule, eps=noise[:, 0], eps_star=noise[:, 1],
+            )
+            loss, grad = denoiser.loss_and_grad(draw.x_t, steps, draw.tau)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"training diverged at epoch {epoch}, batch {start // batch_size}"

@@ -69,11 +69,10 @@ def make_scene(rng: np.random.Generator, side: int = DEFAULT_SCENE_SIDE, *,
 
 
 def scene_source(side: int = DEFAULT_SCENE_SIDE, *, min_strokes: int = 1,
-                 max_strokes: int = 8, channels: int = 3):
+                 max_strokes: int = 8):
     """A generator callable for train_predictor with the sampling knobs bound."""
     def source(rng: np.random.Generator):
-        return make_scene(rng, side, min_strokes=min_strokes, max_strokes=max_strokes,
-                          channels=channels)
+        return make_scene(rng, side, min_strokes=min_strokes, max_strokes=max_strokes)
     return source
 
 

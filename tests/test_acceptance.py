@@ -29,7 +29,6 @@ from strokecraft.diffusion import (
     smr_forward_sample,
     smr_marginal_moments,
     smr_posterior_moments,
-    smr_training_loss,
     smr_transition_moments,
     snr_trajectory,
     recover_x0,
@@ -198,14 +197,16 @@ def test_08_training_loss_gradients_match_finite_differences():
                                schedule, rng=rng)
             for _ in range(4)
         ]
-        _, grad = smr_training_loss(denoiser, draws, with_grad=True)
+        batch = (np.stack([d.x_t for d in draws]), np.array([d.t for d in draws], dtype=np.float64),
+                 np.stack([d.tau for d in draws]))
+        _, grad = denoiser.loss_and_grad(*batch)
         h = 1e-5
         for k in rng.choice(denoiser.params.size, size=25, replace=False):
             saved = denoiser.params[k]
             denoiser.params[k] = saved + h
-            up = smr_training_loss(denoiser, draws)
+            up, _ = denoiser.loss_and_grad(*batch)
             denoiser.params[k] = saved - h
-            down = smr_training_loss(denoiser, draws)
+            down, _ = denoiser.loss_and_grad(*batch)
             denoiser.params[k] = saved
             fd = (up - down) / (2.0 * h)
             worst_tau = max(worst_tau, abs(fd - grad[k]) / max(abs(fd), abs(grad[k]), 1e-8))

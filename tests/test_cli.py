@@ -480,6 +480,13 @@ class TestMetrics:
         assert main(["metrics", "--images", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "met")]) == 3
 
+    @pytest.mark.parametrize("ref", ["absent", "data/stroke_000.ppm"])
+    def test_ref_that_is_not_a_directory_is_an_io_error(self, workspace, tmp_path, ref):
+        ref_path = tmp_path / "absent" if ref == "absent" else workspace / ref
+        assert main(["metrics", "--images", str(workspace / "data"), "--ref", str(ref_path),
+                     "--out", str(tmp_path / "met")]) == 3
+        assert not (tmp_path / "met").exists()
+
     def test_file_name_that_is_not_utf8_is_an_io_error(self, workspace, tmp_path, capsys):
         images = tmp_path / "images"
         images.mkdir()

@@ -10,13 +10,13 @@ from strokecraft.diffusion import (
     build_schedule,
     make_eta,
     smr_forward_sample,
-    smr_training_loss,
     time_embedding,
 )
 from strokecraft.errors import ConfigError, DataIOError
 
 
 def make_batch(rng, schedule, dim=12, size=3):
+    """Forward draws stacked into the (x_t, t, τ) arrays the denoiser's loss takes."""
     draws = []
     cfg = SmrConfig(upsilon=0.5)
     for _ in range(size):
@@ -27,7 +27,8 @@ def make_batch(rng, schedule, dim=12, size=3):
                 rng.standard_normal(dim), rng.standard_normal(dim), t, eta, schedule, rng=rng
             )
         )
-    return draws
+    return (np.stack([d.x_t for d in draws]), np.array([d.t for d in draws], dtype=np.float64),
+            np.stack([d.tau for d in draws]))
 
 
 class TestTimeEmbedding:
@@ -74,9 +75,9 @@ class TestTrainingLoss:
         schedule = build_schedule(32)
         net = Denoiser.create(12, hidden=(8,), rng=rng)
         net.params[:] = 0.0
-        draws = make_batch(rng, schedule)
-        want = float(np.mean(np.stack([d.tau for d in draws]) ** 2))
-        np.testing.assert_allclose(smr_training_loss(net, draws), want, rtol=1e-12)
+        x, t, tau = make_batch(rng, schedule)
+        want = float(np.mean(tau**2))
+        np.testing.assert_allclose(net.loss_and_grad(x, t, tau)[0], want, rtol=1e-12)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(5)
@@ -84,17 +85,17 @@ class TestTrainingLoss:
         worst = 0.0
         for _ in range(20):
             net = Denoiser.create(12, hidden=(16, 16), rng=rng)
-            draws = make_batch(rng, schedule)
-            loss, grad = smr_training_loss(net, draws, with_grad=True)
+            x, t, tau = make_batch(rng, schedule)
+            loss, grad = net.loss_and_grad(x, t, tau)
             assert np.isfinite(loss)
             # spot coordinates plus a couple of random directions
             for idx in rng.choice(net.params.size, size=25, replace=False):
                 h = 1e-5 * max(1.0, abs(net.params[idx]))
                 old = net.params[idx]
                 net.params[idx] = old + h
-                hi = smr_training_loss(net, draws)
+                hi = net.loss_and_grad(x, t, tau)[0]
                 net.params[idx] = old - h
-                lo = smr_training_loss(net, draws)
+                lo = net.loss_and_grad(x, t, tau)[0]
                 net.params[idx] = old
                 fd = (hi - lo) / (2 * h)
                 scale = max(abs(fd), abs(grad[idx]), 1e-8)
@@ -105,19 +106,14 @@ class TestTrainingLoss:
                 h = 1e-5
                 base = net.params.copy()
                 net.params[:] = base + h * direction
-                hi = smr_training_loss(net, draws)
+                hi = net.loss_and_grad(x, t, tau)[0]
                 net.params[:] = base - h * direction
-                lo = smr_training_loss(net, draws)
+                lo = net.loss_and_grad(x, t, tau)[0]
                 net.params[:] = base
                 fd = (hi - lo) / (2 * h)
                 proj = float(grad @ direction)
                 worst = max(worst, abs(fd - proj) / max(abs(fd), abs(proj), 1e-8))
         assert worst <= 1e-4
-
-    def test_empty_batch_rejected(self):
-        net = Denoiser.create(4, hidden=(8,), rng=np.random.default_rng(6))
-        with pytest.raises(ConfigError):
-            smr_training_loss(net, [])
 
 
 class TestCheckpoints:

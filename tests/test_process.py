@@ -97,6 +97,25 @@ class TestForwardSample:
         with pytest.raises(ConfigError):
             smr_forward_sample(np.zeros(3), np.zeros(3), 0, -0.1, HALF_STEP,
                                eps=np.zeros(3), eps_star=np.zeros(3))
+        with pytest.raises(ConfigError):
+            smr_forward_sample(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 1), int),
+                               np.array([[0.1], [-0.1]]), HALF_STEP,
+                               eps=np.zeros((2, 3)), eps_star=np.zeros((2, 3)))
+
+    def test_batch_rows_equal_single_draws(self):
+        s = build_schedule(64)
+        rng = np.random.default_rng(12)
+        for batch in (1, 7, 32):
+            x0, x_s, eps, eps_star = rng.standard_normal((4, batch, 9))
+            t = rng.integers(0, 64, size=(batch, 1))
+            eta = rng.uniform(0.0, 0.5, size=(batch, 1)) ** 2
+            eta[0] = 0.0
+            d = smr_forward_sample(x0, x_s, t, eta, s, eps=eps, eps_star=eps_star)
+            for b in range(batch):
+                one = smr_forward_sample(x0[b], x_s[b], int(t[b, 0]), float(eta[b, 0]), s,
+                                         eps=eps[b], eps_star=eps_star[b])
+                assert np.array_equal(d.x_t[b], one.x_t)
+                assert np.array_equal(d.tau[b], one.tau)
 
 
 class TestMarginalMoments:

@@ -73,3 +73,16 @@ class TestBuildSchedule:
         with pytest.raises(ConfigError):
             s.check_step(0, lowest=1)
         s.check_step(9)
+
+    def test_check_step_takes_integer_arrays_and_refuses_bools_and_floats(self):
+        s = build_schedule(10)
+        s.check_step(np.int64(3))
+        s.check_step(np.array([[0], [9], [4]]))
+        s.check_step(np.array([1, 2], dtype=np.uint8), lowest=1)
+        with pytest.raises(ConfigError, match="outside"):
+            s.check_step(np.array([[0], [10], [4]]))
+        with pytest.raises(ConfigError, match="outside"):
+            s.check_step(np.array([2, 0]), lowest=1)
+        for bad in (2.0, np.array([1.0]), True, np.bool_(True), np.array([True, False])):
+            with pytest.raises(ConfigError, match="integer"):
+                s.check_step(bad)
