@@ -35,11 +35,12 @@ class NoiseSchedule:
     def check_step(self, t: int | np.ndarray, lowest: int = 0) -> None:
         """Refuse a non-integer step or one outside [lowest, num_steps); t may be an array."""
         steps = np.asarray(t)
-        if steps.dtype.kind not in "iu":  # bool is kind "b", so True is not step 1
-            raise ConfigError(f"timestep must be an integer, got {t!r}")
-        if not (np.all(lowest <= steps) and np.all(steps < self.num_steps)):
+        # bool is kind "b", so True is not step 1; an int past int64 is kind "O"
+        if steps.dtype.kind not in "iu" or not (
+            np.all(lowest <= steps) and np.all(steps < self.num_steps)
+        ):
             raise ConfigError(
-                f"timestep {t} outside [{lowest}, {self.num_steps - 1}]"
+                f"timestep must be an integer in [{lowest}, {self.num_steps - 1}], got {t!r}"
             )
 
 

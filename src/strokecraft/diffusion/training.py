@@ -43,8 +43,8 @@ def train_diffusion(
     if batch_size < 1:
         raise ConfigError(f"need a batch of at least one instance, got {batch_size}")
     data = np.asarray(dataset, dtype=np.float64)
-    if data.ndim < 2:
-        raise ConfigError(f"dataset must be (N, ...), got shape {data.shape}")
+    if data.ndim < 2 or data.shape[0] == 0:
+        raise ConfigError(f"dataset must be (N, ...) with N >= 1, got shape {data.shape}")
     n = data.shape[0]
     flat = data.reshape(n, -1)
     dim = flat.shape[1]

@@ -146,6 +146,13 @@ class TestTrainDiffusion:
                 epochs=1, rng=np.random.default_rng(0),
             )
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ConfigError):
+            train_diffusion(
+                np.zeros((0, 4)), build_schedule(8), SmrConfig(),
+                epochs=1, rng=np.random.default_rng(0),
+            )
+
     def test_loss_drops_on_easy_data(self):
         # constant images make tau almost deterministic per (t, prior) pair
         rng = np.random.default_rng(8)

@@ -79,10 +79,9 @@ class TestBuildSchedule:
         s.check_step(np.int64(3))
         s.check_step(np.array([[0], [9], [4]]))
         s.check_step(np.array([1, 2], dtype=np.uint8), lowest=1)
-        with pytest.raises(ConfigError, match="outside"):
-            s.check_step(np.array([[0], [10], [4]]))
-        with pytest.raises(ConfigError, match="outside"):
+        with pytest.raises(ConfigError, match=r"integer in \[1, 9\]"):
             s.check_step(np.array([2, 0]), lowest=1)
-        for bad in (2.0, np.array([1.0]), True, np.bool_(True), np.array([True, False])):
-            with pytest.raises(ConfigError, match="integer"):
+        for bad in (np.array([[0], [10], [4]]), 2**70, 2.0, np.array([1.0]), True,
+                    np.bool_(True), np.array([True, False])):
+            with pytest.raises(ConfigError, match=r"integer in \[0, 9\]"):
                 s.check_step(bad)
