@@ -25,11 +25,9 @@ from .diffusion import (
     PRIOR_MODES,
     SCHEDULE_MODES,
     Denoiser,
-    GaussianMoments,
     SmrConfig,
     ancestral_sample,
     build_schedule,
-    smr_posterior_moments,
     train_diffusion,
 )
 from .diffusion.verify import all_passed, verify_identities
@@ -157,17 +155,10 @@ def run_gen_data(config: dict) -> RunManifest:
     return _save_manifest("gen-data", config, out, outputs)
 
 
-def _corrupted_posterior(x_t, x0, x_s, t, eta, schedule) -> GaussianMoments:
-    """Negative-control hook: a posterior with the variance scaled up 1%."""
-    moments = smr_posterior_moments(x_t, x0, x_s, t, eta, schedule)
-    return GaussianMoments(moments.mean, moments.variance * 1.01)
-
-
 def run_verify_math(config: dict) -> RunManifest:
     schedule = build_schedule(config["steps"], mode=config["schedule"])
-    posterior_fn = _corrupted_posterior if config["corrupt_variance"] else smr_posterior_moments
     checks = verify_identities(schedule, rng=np.random.default_rng(config["seed"]),
-                               mc_draws=config["mc_draws"], posterior_fn=posterior_fn)
+                               mc_draws=config["mc_draws"])
     rows = [[c.name, _float_cell(c.max_error), _float_cell(c.tolerance),
              "true" if c.passed else "false"] for c in checks]
     out = _out_dir(config)
@@ -182,19 +173,18 @@ def run_verify_math(config: dict) -> RunManifest:
     return manifest
 
 
-def _load_dataset(directory: Path) -> tuple[np.ndarray, tuple[int, int, int]]:
+def _load_dataset(directory: Path) -> np.ndarray:
     """All pixmaps in a directory as one array, mapped from [0,1] to [-1,1]."""
     canvases = [read_pixmap(p) for p in _list_pixmaps(directory)]
     shape = canvases[0].pixels.shape
     for path_canvas in canvases:
         if path_canvas.pixels.shape != shape:
             raise DataIOError(f"pixmaps in {directory} differ in shape")
-    data = np.stack([c.pixels for c in canvases]) * 2.0 - 1.0
-    return data, shape
+    return np.stack([c.pixels for c in canvases]) * 2.0 - 1.0
 
 
 def run_train_diffusion(config: dict) -> RunManifest:
-    data, _ = _load_dataset(Path(config["data"]))
+    data = _load_dataset(Path(config["data"]))
     schedule = build_schedule(config["steps"], mode=config["schedule"])
     smr = SmrConfig(upsilon=config["upsilon"], eta_mode=config["eta_mode"],
                     prior_mode=config["prior_mode"], prior_pairs=config["prior_pairs"])
@@ -352,7 +342,8 @@ def run_replay(config: dict) -> RunManifest:
     if manifest.command not in RUNNERS:
         raise DataIOError(f"manifest names unknown command {manifest.command!r}")
     actions = _config_keys(manifest.command)
-    # Keys of flags since removed (sample's eta_mode and prior_mode) are dropped.
+    # Keys of flags since removed (sample's eta_mode and prior_mode, verify-math's
+    # corrupt_variance) are dropped.
     replayed = {k: v for k, v in manifest.config.items() if k in actions}
     if config["out"] is not None:
         replayed["out"] = config["out"]
@@ -477,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=SCHEDULE_MODES, default="scaled_linear")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mc-draws", type=int, default=200_000)
-    p.add_argument("--corrupt-variance", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train-diffusion", help="fit the target-prediction net on pixmaps")

@@ -88,6 +88,8 @@ class Denoiser:
     def loss_and_grad(self, x: np.ndarray, t, target: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean squared error against τ targets and its gradient in θ."""
         feats = self._features(x, t)
+        if len(feats) == 0:
+            raise ConfigError("loss_and_grad needs at least one state, got an empty batch")
         target = np.atleast_2d(np.asarray(target, dtype=np.float64))
         out, acts = self._forward(feats)
         if out.shape != target.shape:

@@ -1,8 +1,8 @@
 """Numeric self-checks of the forward-process algebra.
 
 Each check reports its worst observed error against a pinned tolerance; the
-harness turns any failure into a verification error.  The posterior is
-injectable so a deliberately corrupted formula can be shown to trip the suite.
+harness turns any failure into a verification error.  The checks call the
+package's formulas themselves, never a copy, so a fault in one trips the suite.
 """
 
 from __future__ import annotations
@@ -13,14 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process import (
+    ddpm_forward_sample,
     ddpm_posterior_mean_simplified,
     ddpm_posterior_moments,
+    recover_x0,
     smr_forward_sample,
     smr_marginal_moments,
     smr_posterior_moments,
     smr_transition_moments,
     snr_trajectory,
-    tau_target,
 )
 from .schedule import NoiseSchedule
 
@@ -51,7 +52,6 @@ def verify_identities(
     *,
     rng: np.random.Generator,
     mc_draws: int = 200_000,
-    posterior_fn=smr_posterior_moments,
 ) -> list[IdentityCheck]:
     """Run every identity check against ``schedule`` and report the results."""
     checks = []
@@ -63,7 +63,7 @@ def verify_identities(
     x_s = rng.standard_normal(4)
     for t in range(1, num_steps):
         x_t = rng.standard_normal(4)
-        got = posterior_fn(x_t, x0, x_s, t, 0.0, schedule)
+        got = smr_posterior_moments(x_t, x0, x_s, t, 0.0, schedule)
         ref = ddpm_posterior_moments(x_t, x0, t, schedule)
         err = max(err, _rel(got.mean, ref.mean), _rel(got.variance, ref.variance))
     checks.append(IdentityCheck("zero_eta_posterior_reduction", err, 1e-9))
@@ -102,8 +102,7 @@ def verify_identities(
     for t in range(1, num_steps):
         x0_t = rng.standard_normal(4)
         eps = rng.standard_normal(4)
-        ab = schedule.alpha_bars[t]
-        x_t = np.sqrt(ab) * x0_t + np.sqrt(1.0 - ab) * eps
+        x_t = ddpm_forward_sample(x0_t, t, schedule, eps)
         simp = ddpm_posterior_mean_simplified(x_t, eps, t, schedule)
         full = ddpm_posterior_moments(x_t, x0_t, t, schedule).mean
         err = max(err, _rel(simp, full))
@@ -117,9 +116,7 @@ def verify_identities(
         x0_t = rng.standard_normal(6)
         x_s_t = rng.standard_normal(6)
         d = smr_forward_sample(x0_t, x_s_t, t, eta, schedule, rng=rng)
-        rec = (d.x_t - np.sqrt(1.0 - schedule.alpha_bars[t]) * d.tau) / np.sqrt(
-            schedule.alpha_bars[t]
-        )
+        rec = recover_x0(d.x_t, d.tau, t, schedule)
         err = max(err, float(np.max(np.abs(rec - x0_t))))
     checks.append(IdentityCheck("tau_round_trip", err, 1e-10))
 
@@ -130,7 +127,7 @@ def verify_identities(
             worst = min(
                 worst,
                 smr_transition_moments(np.zeros(1), np.zeros(1), t, eta, schedule).variance,
-                posterior_fn(
+                smr_posterior_moments(
                     np.zeros(1), np.zeros(1), np.zeros(1), t, eta, schedule
                 ).variance,
                 smr_marginal_moments(np.zeros(1), np.zeros(1), t, eta, schedule).variance,

@@ -12,9 +12,6 @@ from ..strokes.model import PARAM_COUNT, SPATIAL_DIMS
 
 PROB_FLOOR = 1e-7
 
-# P-minus layout: 13 stroke parameters then (x_shift, y_shift)
-P_MINUS_DIM = PARAM_COUNT + 2
-
 
 @dataclass(frozen=True)
 class MatchConfig:
@@ -91,9 +88,6 @@ class StrokePrediction:
             raise ConfigError(f"ranking score must lie strictly in (0, 1), got {self.scr_r}")
         if not 0.0 <= self.d <= 1.0:
             raise ConfigError(f"presence confidence must lie in [0, 1], got {self.d}")
-
-    def p_minus(self, side: float) -> np.ndarray:
-        return p_minus(self.params, self.x_shift, self.y_shift, side)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from ..errors import ConfigError, NumericalError
 from ..strokes.canvas import Canvas
 from ..strokes.generate import generate_visible_stroke
 from ..strokes.model import PARAM_COUNT
-from ..strokes.raster import DEFAULT_SAMPLES, _compose_rendered, polyline_points
+from ..strokes.raster import DEFAULT_SAMPLES, compose_over, polyline_points
 from .losses import GroundTruthStroke, MatchConfig
 from .predictor import StrokePredictor, forward_loss, loss_and_grad
 
@@ -63,7 +63,7 @@ def make_scene(rng: np.random.Generator, side: int = DEFAULT_SCENE_SIDE, *,
     gts = []
     for index, (stroke, _, alpha) in enumerate(drawn, start=1):
         # the draw's full-canvas alpha, so the stroke is not rasterized again
-        target = _compose_rendered(target, stroke, alpha)
+        target = compose_over(target, stroke, alpha)
         gts.append(ground_truth_from_stroke(stroke.vector, side, index))
     return Canvas.white((side, side), channels), target, gts
 

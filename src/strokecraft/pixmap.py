@@ -55,7 +55,10 @@ def _tokens(blob: bytes, path) -> tuple[bytes, int, int, int, bytes]:
         token = blob[start:pos]
         if not token.isdigit():
             raise DataIOError(f"{path} has a non-numeric header field {token!r}")
-        fields.append(int(token))
+        try:
+            fields.append(int(token))
+        except ValueError:  # past Python's limit on digits converted to int
+            raise DataIOError(f"{path} has a {len(token)}-digit header field") from None
     pos += 1  # the single whitespace byte after maxval
     width, height, maxval = fields
     return magic, width, height, maxval, blob[pos:]

@@ -20,7 +20,6 @@ from .raster import (
     compose_over,
     coverage_batch,
     rasterize_stroke,
-    stroke_alpha,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "max_opacity_equivalent",
     "rasterize_stroke",
     "save_strokes",
-    "stroke_alpha",
 ]

@@ -8,7 +8,7 @@ from ..errors import NumericalError
 from ..metrics import alpha_iou, connected_regions, label_components
 from .canvas import Canvas
 from .model import BezierStroke, ParamRanges, generate_random_stroke, max_opacity_equivalent
-from .raster import _blend, coverage_batch
+from .raster import coverage_batch, rasterize_stroke
 
 MIN_CORE_PIXELS = 25
 MAX_TRIES = 1000
@@ -45,7 +45,7 @@ def generate_visible_stroke(rng: np.random.Generator, side: int, *,
         _, core_count = label_components(core)
         if core_count != 1:
             continue
-        canvas = Canvas(_blend(Canvas.white((side, side), channels).pixels, stroke, alpha))
+        canvas, _ = rasterize_stroke(stroke, side, channels, alpha=alpha)
         if connected_regions(canvas.pixels).region_count != 1:
             continue
         if identifiable_iou is not None and alpha_iou(alpha, alphas[1]) < identifiable_iou:

@@ -28,12 +28,12 @@ sigmoid(z) < exp(z), every pixel outside the window would get coverage below
 opacity * TAIL, so leaving it untouched moves it by at most TAIL.  Pixels
 inside the window are bit-identical to a full-canvas rasterization.
 
-Stroke generation renders each draw once, over the whole canvas: a stroke and
-its opacity-maximised twin share a control polygon, so one ``coverage_batch``
-call renders both from one field, and the canvas over white is blended from
-that coverage. A training scene composites each stroke from its draw's
-coverage, sliced to the footprint window, which gives the bits
-``compose_over`` would.
+Either public renderer takes the stroke's full-canvas coverage when the caller
+already has it. Stroke generation renders a draw and its opacity-maximised twin
+in one ``coverage_batch`` call (they share a control polygon, so one field), and
+``rasterize_stroke`` blends the draw's coverage over white; a training scene
+passes each draw's coverage to ``compose_over``, which slices it to the
+footprint window. Either way the result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -190,14 +190,6 @@ def coverage_batch(
     return opacity / (1.0 + np.exp(-z))
 
 
-def stroke_alpha(stroke: BezierStroke, shape) -> np.ndarray:
-    """Coverage map of a single stroke, (H, W)."""
-    if np.isscalar(shape):
-        shape = (int(shape), int(shape))
-    h, w = shape
-    return coverage_batch(stroke.vector[None, :], h, w)[0]
-
-
 def _stroke_channels(stroke: BezierStroke, channels: int) -> np.ndarray:
     rgb = np.clip(stroke.color / 255.0, 0.0, 1.0)
     if channels == 3:
@@ -228,40 +220,36 @@ def _blend(pixels: np.ndarray, stroke: BezierStroke, alpha: np.ndarray) -> np.nd
     return alpha * _stroke_channels(stroke, pixels.shape[2]) + (1.0 - alpha) * pixels
 
 
-def _compose_window(base: Canvas, stroke: BezierStroke, alpha: np.ndarray,
-                    rows: slice, cols: slice) -> Canvas:
-    """A copy of ``base`` with ``stroke`` at coverage ``alpha`` over rows x cols."""
+def compose_over(base: Canvas, stroke: BezierStroke, alpha: np.ndarray | None = None
+                 ) -> Canvas:
+    """Alpha-composite one stroke over a canvas; returns a new canvas.
+
+    Only the footprint window is composited; every other pixel would move
+    by at most TAIL and is copied unchanged. Given the stroke's full-canvas
+    coverage ``alpha``, the window is sliced from it instead of rasterized.
+    """
+    rows, cols = footprint_window(stroke.vector, base.height, base.width)
     out = base.copy()
-    out.pixels[rows, cols] = _blend(out.pixels[rows, cols], stroke, alpha)
+    if rows.start >= rows.stop or cols.start >= cols.stop:
+        return out
+    if alpha is None:
+        window = coverage_batch(stroke.vector[None, :], rows.stop - rows.start,
+                                cols.stop - cols.start, origin=(rows.start, cols.start))[0]
+    else:
+        window = alpha[rows, cols]
+    out.pixels[rows, cols] = _blend(out.pixels[rows, cols], stroke, window)
     return out
 
 
-def compose_over(base: Canvas, stroke: BezierStroke) -> Canvas:
-    """Alpha-composite one stroke over a canvas; returns a new canvas.
+def rasterize_stroke(stroke: BezierStroke, shape, channels: int = 3,
+                     alpha: np.ndarray | None = None) -> tuple[Canvas, np.ndarray]:
+    """Render one stroke over white; returns the canvas and its coverage map.
 
-    Only the footprint window is rasterized; every other pixel would move
-    by at most TAIL and is copied unchanged.
+    Given the stroke's coverage ``alpha``, that is blended, not rasterized again.
     """
-    rows, cols = footprint_window(stroke.vector, base.height, base.width)
-    if rows.start >= rows.stop or cols.start >= cols.stop:
-        return base.copy()
-    alpha = coverage_batch(stroke.vector[None, :], rows.stop - rows.start,
-                           cols.stop - cols.start, origin=(rows.start, cols.start))[0]
-    return _compose_window(base, stroke, alpha, rows, cols)
-
-
-def _compose_rendered(base: Canvas, stroke: BezierStroke, alpha: np.ndarray) -> Canvas:
-    """``compose_over`` from the stroke's full-canvas coverage ``alpha``, already
-    rendered: the same bits, sliced to the footprint window, not rasterized again."""
-    rows, cols = footprint_window(stroke.vector, base.height, base.width)
-    return _compose_window(base, stroke, alpha[rows, cols], rows, cols)
-
-
-def rasterize_stroke(stroke: BezierStroke, shape, channels: int = 3
-                     ) -> tuple[Canvas, np.ndarray]:
-    """Render one stroke over white; returns the canvas and its coverage map."""
     if np.isscalar(shape):
         shape = (int(shape), int(shape))
-    base = Canvas.white(shape, channels)
-    alpha = stroke_alpha(stroke, shape)
-    return Canvas(_blend(base.pixels, stroke, alpha)), alpha
+    if alpha is None:
+        height, width = shape
+        alpha = coverage_batch(stroke.vector[None, :], height, width)[0]
+    return Canvas(_blend(Canvas.white(shape, channels).pixels, stroke, alpha)), alpha

@@ -43,7 +43,7 @@ from strokecraft.painting import (
     total_predictor_loss,
     train_predictor,
 )
-from strokecraft.strokes import fit_stroke, generate_visible_stroke, stroke_alpha
+from strokecraft.strokes import fit_stroke, generate_visible_stroke, rasterize_stroke
 
 
 def _gate(num: int, ok: bool, detail: str) -> None:
@@ -249,7 +249,7 @@ def test_09_fitting_recovers_rendered_strokes():
         rng = np.random.default_rng(900 + seed)
         _, canvas, alpha = generate_visible_stroke(rng, 32)
         result = fit_stroke(canvas)
-        passes += alpha_iou(alpha, stroke_alpha(result.stroke, 32)) >= 0.85
+        passes += alpha_iou(alpha, rasterize_stroke(result.stroke, 32)[1]) >= 0.85
     elapsed = time.perf_counter() - start
     _gate(9, passes >= 40 and elapsed < 120.0,
           f"render-then-fit: {passes}/50 trials at IoU >= 0.85 (need 40), {elapsed:.0f}s (<120s)")

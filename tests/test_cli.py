@@ -21,6 +21,7 @@ from strokecraft.cli import (
     main,
     rotate_stroke_ccw,
 )
+from strokecraft.diffusion import GaussianMoments, smr_posterior_moments
 from strokecraft.errors import NumericalError
 from strokecraft.manifest import RunManifest
 from strokecraft.metrics import connected_regions, mse
@@ -263,11 +264,15 @@ class TestVerifyMath:
             assert float(row[1]) <= float(row[2])
         assert "ok" in capsys.readouterr().out
 
-    def test_corrupted_variance_fails_with_named_identity(self, tmp_path, capsys):
+    def test_corrupted_variance_fails_with_named_identity(self, tmp_path, capsys, monkeypatch):
+        def corrupted(x_t, x0, x_s, t, eta, schedule):
+            moments = smr_posterior_moments(x_t, x0, x_s, t, eta, schedule)
+            return GaussianMoments(moments.mean, moments.variance * 1.01)
+
+        monkeypatch.setattr("strokecraft.diffusion.verify.smr_posterior_moments", corrupted)
         out = tmp_path / "vmbad"
         assert main(["verify-math", "--steps", "200", "--seed", "1",
-                     "--mc-draws", "50000", "--corrupt-variance",
-                     "--out", str(out)]) == 5
+                     "--mc-draws", "50000", "--out", str(out)]) == 5
         by_name = {row[0]: row[3] for row in read_csv(out / "identities.csv")[1:]}
         assert by_name["zero_eta_posterior_reduction"] == "false"
         assert "zero_eta_posterior_reduction" in capsys.readouterr().err
@@ -487,6 +492,14 @@ class TestMetrics:
                      "--out", str(tmp_path / "met")]) == 3
         assert not (tmp_path / "met").exists()
 
+    def test_header_field_of_5000_digits_is_an_io_error(self, tmp_path, capsys):
+        images = tmp_path / "images"
+        images.mkdir()
+        (images / "long.pgm").write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n\0")
+        assert main(["metrics", "--images", str(images), "--out", str(tmp_path / "met")]) == 3
+        err = capsys.readouterr().err
+        assert "5000-digit header field" in err and "Traceback" not in err
+
     def test_file_name_that_is_not_utf8_is_an_io_error(self, workspace, tmp_path, capsys):
         images = tmp_path / "images"
         images.mkdir()
@@ -577,6 +590,20 @@ class TestReplay:
         assert file_bytes(tmp_path / "again", names) == file_bytes(first, names)
         replayed = RunManifest.load(tmp_path / "again" / "manifest.json")
         assert replayed.config == dict(manifest.config, out=str(tmp_path / "again"))
+
+    def test_verify_math_manifest_with_corrupt_variance_replays(self, tmp_path):
+        first = tmp_path / "first"
+        assert main(["verify-math", "--steps", "50", "--seed", "2", "--mc-draws", "2000",
+                     "--out", str(first)]) == 0
+        manifest = RunManifest.load(first / "manifest.json")
+        assert "corrupt_variance" not in manifest.config
+        legacy = dict(manifest.config, corrupt_variance=False)
+        RunManifest(command="verify-math", config=legacy, seed=manifest.seed,
+                    outputs=manifest.outputs).save(tmp_path / "m.json")
+        assert main(["replay", "--manifest", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "again")]) == 0
+        names = ["identities.csv"]
+        assert file_bytes(tmp_path / "again", names) == file_bytes(first, names)
 
     def test_out_of_range_count_is_a_config_error(self, workspace, tmp_path):
         manifest = RunManifest.load(workspace / "ptrain" / "manifest.json")

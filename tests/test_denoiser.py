@@ -115,6 +115,11 @@ class TestTrainingLoss:
                 worst = max(worst, abs(fd - proj) / max(abs(fd), abs(proj), 1e-8))
         assert worst <= 1e-4
 
+    def test_empty_batch_is_a_config_error(self):
+        net = Denoiser.create(4, hidden=(8,), rng=np.random.default_rng(6))
+        with pytest.raises(ConfigError, match="empty batch"):
+            net.loss_and_grad(np.zeros((0, 4)), np.zeros(0, dtype=int), np.zeros((0, 4)))
+
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):

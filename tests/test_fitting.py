@@ -10,7 +10,7 @@ from strokecraft.strokes import (
     ParamRanges,
     fit_stroke,
     generate_visible_stroke,
-    stroke_alpha,
+    rasterize_stroke,
 )
 from strokecraft.strokes.fitting import _initial_guess, _spine_guess
 
@@ -76,6 +76,6 @@ def test_fit_recovers_rendered_strokes():
         rng = np.random.default_rng(500 + seed)
         _, canvas, alpha = generate_visible_stroke(rng, 32)
         result = fit_stroke(canvas)
-        iou = alpha_iou(alpha, stroke_alpha(result.stroke, 32))
+        iou = alpha_iou(alpha, rasterize_stroke(result.stroke, 32)[1])
         passes += iou >= 0.85
     assert passes >= 5

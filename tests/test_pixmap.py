@@ -76,6 +76,7 @@ class TestRead:
             b"P5\n1 1\n255\n\x00\x00",                # trailing bytes
             b"P5\n0 1\n255\n",                        # empty image
             b"P5\n1 1\n999\n\x00",                    # unsupported maxval
+            b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00",  # field past int's digit limit
         ],
     )
     def test_malformed_files_are_rejected(self, tmp_path, blob):

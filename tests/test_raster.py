@@ -31,7 +31,6 @@ from strokecraft.strokes.raster import (
     footprint_window,
     polyline_points,
     rasterize_stroke,
-    stroke_alpha,
 )
 
 
@@ -68,7 +67,7 @@ def single_pass_coverage(vectors, height, width, samples, softness, origin=(0, 0
 
 def full_canvas_compose(base, stroke):
     """Composite over every pixel of the canvas, as before the window."""
-    alpha = stroke_alpha(stroke, (base.height, base.width))[:, :, None]
+    alpha = rasterize_stroke(stroke, (base.height, base.width))[1][:, :, None]
     color = raster._stroke_channels(stroke, base.channels)
     return alpha * color + (1.0 - alpha) * base.pixels
 
@@ -324,6 +323,35 @@ class TestFootprintWindow:
         assert np.abs(full_canvas_compose(base, stroke) - got.pixels).max() <= TAIL
 
 
+class TestRenderedCoverage:
+    """Coverage handed to a renderer gives the bits of rendering it there."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_compose_over_slices_the_given_coverage(self, channels):
+        side = 48
+        rng = np.random.default_rng(channels)
+        base = Canvas(rng.uniform(size=(side, side, channels)))
+        vectors = random_vectors(channels + 20, 12, side)
+        vectors[:4, :8] *= 0.3  # windows that are true sub-boxes
+        vectors[4:6, :8] += 3.0 * side  # windows that are empty
+        for vector in vectors:
+            stroke = BezierStroke(vector)
+            alpha = coverage_batch(vector[None], side, side)[0]
+            got = compose_over(base, stroke, alpha)
+            assert got.pixels is not base.pixels
+            np.testing.assert_array_equal(got.pixels, compose_over(base, stroke).pixels)
+            base = got
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_rasterize_stroke_blends_the_given_coverage(self, channels):
+        for vector in random_vectors(channels + 30, 6, 24):
+            stroke = BezierStroke(vector)
+            canvas, alpha = rasterize_stroke(stroke, 24, channels)
+            given_canvas, given_alpha = rasterize_stroke(stroke, 24, channels, alpha=alpha)
+            assert given_alpha is alpha
+            np.testing.assert_array_equal(given_canvas.pixels, canvas.pixels)
+
+
 class TestVisibleStrokeShortcuts:
     @pytest.mark.parametrize("side", [16, 32])
     def test_opacity_below_one_half_never_reaches_the_core(self, side):
@@ -342,7 +370,7 @@ class TestVisibleStrokeShortcuts:
         # 0.5 has core pixels, so it must still be rasterized and judged
         stroke = BezierStroke(np.array([2.0, 8.0, 6.0, 8.0, 10.0, 8.0, 14.0, 8.0,
                                         0.0, 0.0, 0.0, 0.5, 200.0]))
-        alpha = stroke_alpha(stroke, (16, 16))
+        alpha = rasterize_stroke(stroke, (16, 16))[1]
         assert alpha.max() == 0.5
         assert (alpha >= 0.5).sum() > 0
 

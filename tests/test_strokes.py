@@ -17,7 +17,6 @@ from strokecraft.strokes import (
     max_opacity_equivalent,
     rasterize_stroke,
     save_strokes,
-    stroke_alpha,
 )
 from strokecraft.strokes import generate
 from strokecraft.strokes.raster import polyline_points
@@ -196,7 +195,7 @@ def test_rasterize_bounds_and_zero_opacity():
 
 def test_coverage_nonincreasing_with_distance():
     stroke = make_stroke([(2, 16), (12, 16), (20, 16), (30, 16)], width=4.0)
-    alpha = stroke_alpha(stroke, (32, 32))
+    alpha = rasterize_stroke(stroke, (32, 32))[1]
     column = alpha[16:, 16]  # walking straight away from the axis
     assert np.all(np.diff(column) <= 1e-12)
 
@@ -235,8 +234,8 @@ def test_translation_equivariance_for_integer_shifts():
     base = np.array([(6.0, 8.0), (10.0, 14.0), (15.0, 9.0), (20.0, 18.0)])
     stroke = make_stroke(base, width=3.0)
     shifted = make_stroke(base + np.array([3.0, 2.0]), width=3.0)
-    a = stroke_alpha(stroke, (40, 40))
-    b = stroke_alpha(shifted, (40, 40))
+    a = rasterize_stroke(stroke, (40, 40))[1]
+    b = rasterize_stroke(shifted, (40, 40))[1]
     assert np.allclose(a[4:30, 4:30], b[6:32, 7:33], atol=1e-10)
 
 
@@ -245,8 +244,8 @@ def test_horizontal_flip_equivariance():
     base = np.array([(6.0, 8.0), (10.0, 14.0), (15.0, 9.0), (20.0, 18.0)])
     flipped = base.copy()
     flipped[:, 0] = side - flipped[:, 0]
-    a = stroke_alpha(make_stroke(base, width=3.0), (side, side))
-    b = stroke_alpha(make_stroke(flipped, width=3.0), (side, side))
+    a = rasterize_stroke(make_stroke(base, width=3.0), (side, side))[1]
+    b = rasterize_stroke(make_stroke(flipped, width=3.0), (side, side))[1]
     assert np.allclose(a, b[:, ::-1], atol=1e-10)
 
 

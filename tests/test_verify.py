@@ -2,9 +2,11 @@
 
 import numpy as np
 
-from strokecraft.diffusion import build_schedule, smr_posterior_moments
+from strokecraft.diffusion import build_schedule, recover_x0, smr_posterior_moments
 from strokecraft.diffusion.process import GaussianMoments
 from strokecraft.diffusion.verify import all_passed, verify_identities
+
+VERIFY = "strokecraft.diffusion.verify"
 
 
 def test_suite_passes_on_reference_schedule():
@@ -16,28 +18,38 @@ def test_suite_passes_on_reference_schedule():
     assert {"zero_eta_posterior_reduction", "posterior_denominator", "tau_round_trip"} <= names
 
 
-def test_corrupted_posterior_variance_is_caught():
+def test_corrupted_posterior_variance_is_caught(monkeypatch):
     def corrupted(x_t, x0, x_s, t, eta, schedule):
         g = smr_posterior_moments(x_t, x0, x_s, t, eta, schedule)
         return GaussianMoments(mean=g.mean, variance=g.variance * (1.0 + 1e-6))
 
+    monkeypatch.setattr(f"{VERIFY}.smr_posterior_moments", corrupted)
     schedule = build_schedule(100)
-    checks = verify_identities(
-        schedule, rng=np.random.default_rng(1), mc_draws=10_000, posterior_fn=corrupted
-    )
+    checks = verify_identities(schedule, rng=np.random.default_rng(1), mc_draws=10_000)
     assert not all_passed(checks)
     failed = {c.name for c in checks if not c.passed}
     assert "zero_eta_posterior_reduction" in failed
 
 
-def test_corrupted_posterior_mean_is_caught():
+def test_corrupted_posterior_mean_is_caught(monkeypatch):
     def corrupted(x_t, x0, x_s, t, eta, schedule):
         g = smr_posterior_moments(x_t, x0, x_s, t, eta, schedule)
         return GaussianMoments(mean=g.mean * (1.0 + 1e-6), variance=g.variance)
 
+    monkeypatch.setattr(f"{VERIFY}.smr_posterior_moments", corrupted)
     schedule = build_schedule(100)
-    checks = verify_identities(
-        schedule, rng=np.random.default_rng(2), mc_draws=10_000, posterior_fn=corrupted
-    )
+    checks = verify_identities(schedule, rng=np.random.default_rng(2), mc_draws=10_000)
     failed = {c.name for c in checks if not c.passed}
     assert "zero_eta_posterior_reduction" in failed
+
+
+def test_corrupted_x0_recovery_is_caught(monkeypatch):
+    """The sampler's last step recovers x0 through recover_x0; the round trip checks it."""
+    def corrupted(x_t, tau, t, schedule):
+        return recover_x0(x_t, tau, t, schedule) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(f"{VERIFY}.recover_x0", corrupted)
+    schedule = build_schedule(100)
+    checks = verify_identities(schedule, rng=np.random.default_rng(3), mc_draws=10_000)
+    failed = {c.name for c in checks if not c.passed}
+    assert failed == {"tau_round_trip"}
