@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,10 +94,12 @@ def _float_cell(value: float) -> str:
     return repr(float(value))
 
 
-def _save_manifest(command: str, config: dict, out: Path, outputs: dict,
-                   inputs: dict | None = None) -> RunManifest:
+def _save_manifest(command: str, config: dict, out: Path, outputs: dict) -> RunManifest:
+    """Write the run's manifest, listing as inputs each given flag that names a file it read."""
+    inputs = {f.name: config[f.name] for f in COMMANDS[command].flags
+              if f.reads and (f.required or config[f.name])}
     manifest = RunManifest(command=command, config=config, seed=config.get("seed"),
-                           inputs=inputs or {}, outputs=outputs)
+                           inputs=inputs, outputs=outputs)
     manifest.save(out / "manifest.json")
     return manifest
 
@@ -198,8 +201,7 @@ def run_train_diffusion(config: dict) -> RunManifest:
     print(f"trained {config['epochs']} epochs: "
           f"loss {result.loss_history[0]:.4f} -> {result.loss_history[-1]:.4f}")
     return _save_manifest("train-diffusion", config, out,
-                          {"checkpoint": "denoiser.ckpt", "loss_history": "loss_history.csv"},
-                          inputs={"data": config["data"]})
+                          {"checkpoint": "denoiser.ckpt", "loss_history": "loss_history.csv"})
 
 
 def run_sample(config: dict) -> RunManifest:
@@ -223,8 +225,7 @@ def run_sample(config: dict) -> RunManifest:
         name = f"sample_{i:03d}{suffix}"
         write_pixmap(out / name, Canvas(pixels))
         outputs[f"sample_{i:03d}"] = name
-    return _save_manifest("sample", config, out, outputs,
-                          inputs={"checkpoint": config["checkpoint"]})
+    return _save_manifest("sample", config, out, outputs)
 
 
 def run_fit_stroke(config: dict) -> RunManifest:
@@ -238,8 +239,7 @@ def run_fit_stroke(config: dict) -> RunManifest:
     write_pixmap(out / render_name, render)
     print(f"fit loss {result.loss:.6f} after {config['iterations']} iterations")
     return _save_manifest("fit-stroke", config, out,
-                          {"parameters": "fitted.json", "render": render_name},
-                          inputs={"target": config["target"]})
+                          {"parameters": "fitted.json", "render": render_name})
 
 
 def run_train_predictor(config: dict) -> RunManifest:
@@ -303,9 +303,7 @@ def run_paint(config: dict) -> RunManifest:
     per_layer = ", ".join(f"{v:.5f}" for v in result.layer_mse)
     print(f"painted {len(result.strokes)} strokes over "
           f"{config['layers']} layers; mse per layer: {per_layer}")
-    return _save_manifest("paint", config, out, outputs,
-                          inputs={"target": config["target"],
-                                  "predictor": config["predictor"]})
+    return _save_manifest("paint", config, out, outputs)
 
 
 def run_metrics(config: dict) -> RunManifest:
@@ -331,75 +329,33 @@ def run_metrics(config: dict) -> RunManifest:
     out = _out_dir(config)
     _write_csv(out / "metrics.csv",
                ["image_id", "region_count", "area_ratio", "mse_if_paired"], rows)
-    inputs = {"images": config["images"]}
-    if config["ref"]:
-        inputs["ref"] = config["ref"]
-    return _save_manifest("metrics", config, out, {"report": "metrics.csv"}, inputs=inputs)
+    return _save_manifest("metrics", config, out, {"report": "metrics.csv"})
 
 
 def run_replay(config: dict) -> RunManifest:
     manifest = RunManifest.load(config["manifest"])
-    if manifest.command not in RUNNERS:
+    # replay records the run it repeats, so a manifest naming replay is not one of its own
+    if manifest.command not in COMMANDS or manifest.command == "replay":
         raise DataIOError(f"manifest names unknown command {manifest.command!r}")
-    actions = _config_keys(manifest.command)
+    flags = COMMANDS[manifest.command].flags
     # Keys of flags since removed (sample's eta_mode and prior_mode, verify-math's
     # corrupt_variance) are dropped.
-    replayed = {k: v for k, v in manifest.config.items() if k in actions}
+    replayed = {f.name: manifest.config[f.name] for f in flags if f.name in manifest.config}
     if config["out"] is not None:
         replayed["out"] = config["out"]
-    missing = sorted(actions.keys() - replayed.keys())
+    missing = sorted(f.name for f in flags if f.name not in replayed)
     if missing:
         raise DataIOError(f"manifest config for {manifest.command} lacks {', '.join(missing)}")
-    for key, action in actions.items():
-        if not _parses_as(action, replayed[key]):
-            raise DataIOError(f"manifest config for {manifest.command} has a {key} that "
-                              f"{action.option_strings[0]} does not take: {replayed[key]!r}")
+    for flag in flags:
+        if not flag.accepts(replayed[flag.name]):
+            raise DataIOError(f"manifest config for {manifest.command} has a {flag.name} that "
+                              f"{flag.option} does not take: {replayed[flag.name]!r}")
     _check_ranges(manifest.command, replayed)
-    return RUNNERS[manifest.command](replayed)
-
-
-def _config_keys(command: str) -> dict[str, argparse.Action]:
-    """The config keys a command's runner reads: the destinations of its flags."""
-    commands = next(a for a in _parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in commands.choices[command]._actions if a.dest != "help"}
+    return COMMANDS[manifest.command].runner(replayed)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _parses_as(action: argparse.Action, value) -> bool:
-    """Whether a recorded config value is one the flag's parser could have produced."""
-    if action.type is _lambda_triple:
-        return isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
-    if isinstance(action, argparse._StoreTrueAction):
-        return isinstance(value, bool)
-    if action.type is int:
-        typed = isinstance(value, int) and not isinstance(value, bool)
-    elif action.type is float:
-        typed = _is_number(value)
-    else:  # paths and names; argv cannot carry a NUL byte
-        typed = (isinstance(value, str) and "\0" not in value
-                 or value is None and not action.required and action.default is None)
-    return typed and (action.choices is None or value in action.choices)
-
-
-# Smallest accepted value of each count, size, epoch, step and layer flag, and of
-# every seed that seeds a generator. A drawn stroke needs a canvas whose square
-# holds its MIN_CORE_PIXELS core.
-CORE_SIDE = math.isqrt(MIN_CORE_PIXELS - 1) + 1
-MINIMUMS = {
-    "gen-data": {"count": 1, "canvas_size": CORE_SIDE, "seed": 0},
-    "verify-math": {"steps": 1, "mc_draws": 1, "seed": 0},
-    "train-diffusion": {"steps": 1, "prior_pairs": 1, "epochs": 1, "batch_size": 1,
-                        "seed": 0},
-    "sample": {"count": 1, "canvas_size": 1, "steps": 1, "seed": 0},
-    "fit-stroke": {"iterations": MIN_ITERATIONS},
-    "train-predictor": {"canvas_size": CORE_SIDE, "min_strokes": 1, "max_strokes": 1, "slots": 1,
-                        "epochs": 1, "scenes_per_epoch": 1, "holdout_scenes": 0, "seed": 0},
-    "paint": {"layers": 1},
-}
 
 
 def _is_finite(value) -> bool:
@@ -412,38 +368,160 @@ def _is_finite(value) -> bool:
 
 def _check_ranges(command: str, config: dict) -> None:
     """Reject out-of-range counts and non-finite float flags before a command writes anything."""
-    for key, least in MINIMUMS.get(command, {}).items():
-        value = config[key]
-        if not isinstance(value, int) or value < least:
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"{flag} must be an integer of at least {least}, got {value!r}")
-    for key, action in _config_keys(command).items():
-        if action.type in (float, _lambda_triple):
-            value = config[key]
+    for flag in COMMANDS[command].flags:
+        value = config[flag.name]
+        if flag.minimum is not None and (not isinstance(value, int) or value < flag.minimum):
+            raise ConfigError(f"{flag.option} must be an integer of at least {flag.minimum}, "
+                              f"got {value!r}")
+        if flag.type in (float, _lambda_triple):
             if not all(map(_is_finite, value if isinstance(value, list) else [value])):
-                raise ConfigError(f"{action.option_strings[0]} must be finite, got {value!r}")
+                raise ConfigError(f"{flag.option} must be finite, got {value!r}")
 
 
-RUNNERS = {
-    "gen-data": run_gen_data,
-    "verify-math": run_verify_math,
-    "train-diffusion": run_train_diffusion,
-    "sample": run_sample,
-    "fit-stroke": run_fit_stroke,
-    "train-predictor": run_train_predictor,
-    "paint": run_paint,
-    "metrics": run_metrics,
-}
-
-
-def _lambda_triple(text: str) -> tuple[float, float, float]:
+def _lambda_triple(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated weights, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        return [float(p) for p in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+class Flag(NamedTuple):
+    """One flag of a command, stored in the run's config under ``name``.
+
+    ``type`` is what the parser calls on the flag's text, and on a default
+    given as text; ``bool`` makes an on/off switch. ``minimum`` is the
+    smallest accepted integer. ``reads`` marks a path to a file or directory
+    the command reads, which its manifest lists under ``inputs``.
+    """
+
+    name: str
+    type: Callable = str
+    default: object = None
+    required: bool = False
+    minimum: int | None = None
+    reads: bool = False
+    choices: tuple | None = None
+    help: str | None = None
+    metavar: str | None = None
+
+    @property
+    def option(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def accepts(self, value) -> bool:
+        """Whether a recorded config value is one this flag's parser could have produced."""
+        if self.type is bool:
+            return isinstance(value, bool)
+        if self.type is _lambda_triple:
+            return isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
+        if self.type is int:
+            typed = isinstance(value, int) and not isinstance(value, bool)
+        elif self.type is float:
+            typed = _is_number(value)
+        else:  # paths and names; argv cannot carry a NUL byte
+            typed = (isinstance(value, str) and "\0" not in value
+                     or value is None and not self.required and self.default is None)
+        return typed and (self.choices is None or value in self.choices)
+
+
+class Command(NamedTuple):
+    """A subcommand: the function that runs it, its help line, and its flags in order."""
+
+    runner: Callable[[dict], RunManifest]
+    help: str
+    flags: tuple[Flag, ...]
+
+
+# A drawn stroke needs a canvas whose square holds its MIN_CORE_PIXELS core.
+CORE_SIDE = math.isqrt(MIN_CORE_PIXELS - 1) + 1
+SEED = Flag("seed", int, required=True, minimum=0)
+OUT = Flag("out", required=True)
+SCHEDULE = Flag("schedule", default="scaled_linear", choices=SCHEDULE_MODES)
+
+COMMANDS = {
+    "gen-data": Command(run_gen_data, "generate single-stroke images plus parameters", (
+        Flag("count", int, required=True, minimum=1),
+        Flag("canvas_size", int, 32, minimum=CORE_SIDE),
+        SEED,
+        Flag("flips", bool, False, help="random horizontal/vertical flips"),
+        Flag("rotations", bool, False, help="random quarter turns"),
+        Flag("gray", bool, False, help="write grayscale pixmaps"),
+        OUT,
+    )),
+    "verify-math": Command(run_verify_math, "run the forward-process identity suite", (
+        Flag("steps", int, 1000, minimum=1),
+        SCHEDULE,
+        SEED,
+        Flag("mc_draws", int, 200_000, minimum=1),
+        OUT,
+    )),
+    "train-diffusion": Command(run_train_diffusion, "fit the target-prediction net on pixmaps", (
+        Flag("data", required=True, reads=True, help="directory of equally sized pixmaps"),
+        Flag("steps", int, 64, minimum=1),
+        SCHEDULE,
+        Flag("upsilon", float, 0.5),
+        Flag("eta_mode", default="eta_uniform", choices=ETA_MODES),
+        Flag("prior_mode", default="stochastic", choices=PRIOR_MODES),
+        Flag("prior_pairs", int, 8, minimum=1),
+        Flag("epochs", int, required=True, minimum=1),
+        Flag("batch_size", int, 32, minimum=1),
+        Flag("lr", float, 1e-3),
+        SEED,
+        OUT,
+    )),
+    "sample": Command(run_sample, "draw images from a trained checkpoint", (
+        Flag("checkpoint", required=True, reads=True),
+        Flag("count", int, 4, minimum=1),
+        Flag("canvas_size", int, required=True, minimum=1),
+        Flag("steps", int, 64, minimum=1),
+        SCHEDULE,
+        Flag("no_noise", bool, False, help="deterministic reverse steps"),
+        SEED,
+        OUT,
+    )),
+    "fit-stroke": Command(run_fit_stroke, "recover stroke parameters from one image", (
+        Flag("target", required=True, reads=True),
+        Flag("iterations", int, FIT_ITERATIONS, minimum=MIN_ITERATIONS),
+        SEED._replace(help="recorded for the manifest only; fitting is deterministic"),
+        OUT,
+    )),
+    "train-predictor": Command(
+        run_train_predictor, "train the stroke predictor on synthetic scenes", (
+            Flag("canvas_size", int, 32, minimum=CORE_SIDE),
+            Flag("min_strokes", int, 1, minimum=1),
+            Flag("max_strokes", int, 5, minimum=1),
+            Flag("slots", int, 8, minimum=1, help="prediction slots per patch"),
+            Flag("margin", float, 0.125),
+            Flag("lambda_m", _lambda_triple, "5,10,10", metavar="L1,COS,PRESENCE"),
+            Flag("lambda_r", float, 5.0),
+            Flag("epochs", int, required=True, minimum=1),
+            Flag("scenes_per_epoch", int, 8, minimum=1),
+            Flag("holdout_scenes", int, 4, minimum=0),
+            Flag("lr", float, 1e-3),
+            SEED,
+            OUT,
+        )),
+    "paint": Command(run_paint, "paint a target image with a trained predictor", (
+        Flag("target", required=True, reads=True),
+        Flag("predictor", required=True, reads=True),
+        Flag("layers", int, 2, minimum=1),
+        Flag("threshold", float, 0.5),
+        OUT,
+    )),
+    "metrics": Command(run_metrics, "structural metrics over a directory of pixmaps", (
+        Flag("images", required=True, reads=True),
+        Flag("ref", reads=True, help="directory of same-named reference pixmaps"),
+        Flag("threshold", float, DEFAULT_FOREGROUND_THRESHOLD),
+        OUT,
+    )),
+    "replay": Command(run_replay, "repeat a run from its manifest", (
+        Flag("manifest", required=True),
+        Flag("out", help="override the recorded output directory"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,106 +531,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate single-stroke images plus parameters")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--canvas-size", type=int, default=32)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--flips", action="store_true", help="random horizontal/vertical flips")
-    p.add_argument("--rotations", action="store_true", help="random quarter turns")
-    p.add_argument("--gray", action="store_true", help="write grayscale pixmaps")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("verify-math", help="run the forward-process identity suite")
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--schedule", choices=SCHEDULE_MODES, default="scaled_linear")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mc-draws", type=int, default=200_000)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("train-diffusion", help="fit the target-prediction net on pixmaps")
-    p.add_argument("--data", required=True, help="directory of equally sized pixmaps")
-    p.add_argument("--steps", type=int, default=64)
-    p.add_argument("--schedule", choices=SCHEDULE_MODES, default="scaled_linear")
-    p.add_argument("--upsilon", type=float, default=0.5)
-    p.add_argument("--eta-mode", choices=ETA_MODES, default="eta_uniform")
-    p.add_argument("--prior-mode", choices=PRIOR_MODES, default="stochastic")
-    p.add_argument("--prior-pairs", type=int, default=8)
-    p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("sample", help="draw images from a trained checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--canvas-size", type=int, required=True)
-    p.add_argument("--steps", type=int, default=64)
-    p.add_argument("--schedule", choices=SCHEDULE_MODES, default="scaled_linear")
-    p.add_argument("--no-noise", action="store_true", help="deterministic reverse steps")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("fit-stroke", help="recover stroke parameters from one image")
-    p.add_argument("--target", required=True)
-    p.add_argument("--iterations", type=int, default=FIT_ITERATIONS)
-    p.add_argument("--seed", type=int, required=True,
-                   help="recorded for the manifest only; fitting is deterministic")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("train-predictor", help="train the stroke predictor on synthetic scenes")
-    p.add_argument("--canvas-size", type=int, default=32)
-    p.add_argument("--min-strokes", type=int, default=1)
-    p.add_argument("--max-strokes", type=int, default=5)
-    p.add_argument("--slots", type=int, default=8, help="prediction slots per patch")
-    p.add_argument("--margin", type=float, default=0.125)
-    p.add_argument("--lambda-m", type=_lambda_triple, default=(5.0, 10.0, 10.0),
-                   metavar="L1,COS,PRESENCE")
-    p.add_argument("--lambda-r", type=float, default=5.0)
-    p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--scenes-per-epoch", type=int, default=8)
-    p.add_argument("--holdout-scenes", type=int, default=4)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("paint", help="paint a target image with a trained predictor")
-    p.add_argument("--target", required=True)
-    p.add_argument("--predictor", required=True)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("metrics", help="structural metrics over a directory of pixmaps")
-    p.add_argument("--images", required=True)
-    p.add_argument("--ref", default=None, help="directory of same-named reference pixmaps")
-    p.add_argument("--threshold", type=float, default=DEFAULT_FOREGROUND_THRESHOLD)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("replay", help="repeat a run from its manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None, help="override the recorded output directory")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            if flag.type is bool:
+                p.add_argument(flag.option, action="store_true", help=flag.help)
+            else:
+                p.add_argument(flag.option, type=flag.type, default=flag.default,
+                               required=flag.required, choices=flag.choices, help=flag.help,
+                               metavar=flag.metavar)
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process: main parses with it, the config checks read its flags."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    command = args.command
-    config = {k: v for k, v in vars(args).items() if k != "command"}
-    if "lambda_m" in config:
-        config["lambda_m"] = list(config["lambda_m"])
-    runner = run_replay if command == "replay" else RUNNERS[command]
+    config = vars(build_parser().parse_args(argv))
+    command = config.pop("command")
     try:
         _check_ranges(command, config)
-        runner(config)
+        COMMANDS[command].runner(config)
     except StrokecraftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -162,6 +162,8 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, size: int, lr: float = 1e-3):
+        if not lr > 0:
+            raise ConfigError(f"the learning rate must be positive, got {lr!r}")
         self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)

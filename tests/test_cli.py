@@ -1,9 +1,9 @@
 """Command line harness: every subcommand, exit codes, and replay fidelity."""
 
-import argparse
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +40,9 @@ def read_csv(path):
 
 def file_bytes(directory, names):
     return {name: (directory / name).read_bytes() for name in names}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def src_env():
@@ -530,12 +533,8 @@ class TestReplay:
             return build_parser()
 
         monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-        cli._parser.cache_clear()
-        try:
-            assert main(["replay", "--manifest", str(workspace / "data" / "manifest.json"),
-                         "--out", str(tmp_path / "replayed")]) == 0
-        finally:
-            cli._parser.cache_clear()
+        assert main(["replay", "--manifest", str(workspace / "data" / "manifest.json"),
+                     "--out", str(tmp_path / "replayed")]) == 0
         assert len(built) == 1
 
     def test_metrics_replay_is_byte_identical(self, workspace, tmp_path):
@@ -667,13 +666,41 @@ class TestReplay:
         assert "UTF-8" in err and "Traceback" not in err
         assert not (tmp_path / "again").exists()
 
-    def test_unknown_command_is_rejected(self, tmp_path):
-        RunManifest(command="gen-data", config={}).save(tmp_path / "m.json")
-        loaded = RunManifest.load(tmp_path / "m.json")
-        hacked = RunManifest(command="no-such", config=loaded.config)
-        hacked.save(tmp_path / "m.json")
-        assert main(["replay", "--manifest", str(tmp_path / "m.json"),
-                     "--out", str(tmp_path)]) == 3
+    @pytest.mark.parametrize("argv, reads", [
+        (["gen-data", "--count", "1", "--canvas-size", "16", "--seed", "1"], []),
+        (["verify-math", "--steps", "50", "--mc-draws", "2000", "--seed", "7"], []),
+        (["train-diffusion", "--data", "{ws}/data16", "--steps", "4", "--epochs", "1",
+          "--prior-pairs", "1", "--seed", "1"], ["data"]),
+        (["sample", "--checkpoint", "{ws}/dtrain/denoiser.ckpt", "--count", "1",
+          "--canvas-size", "16", "--steps", "4", "--seed", "1"], ["checkpoint"]),
+        (["fit-stroke", "--target", "{ws}/data16/stroke_000.pgm", "--iterations", "8",
+          "--seed", "1"], ["target"]),
+        (["train-predictor", "--canvas-size", "16", "--max-strokes", "2", "--slots", "2",
+          "--epochs", "1", "--scenes-per-epoch", "1", "--holdout-scenes", "1", "--seed", "1"],
+         []),
+        (["paint", "--target", "{ws}/data/stroke_000.ppm",
+          "--predictor", "{ws}/ptrain/predictor.ckpt", "--layers", "1"], ["target", "predictor"]),
+        (["metrics", "--images", "{ws}/data16"], ["images"]),
+        (["metrics", "--images", "{ws}/data16", "--ref", "{ws}/data"], ["images", "ref"]),
+    ], ids=["gen-data", "verify-math", "train-diffusion", "sample", "fit-stroke",
+            "train-predictor", "paint", "metrics", "metrics-with-ref"])
+    def test_manifest_inputs_are_the_flags_that_name_files_read(self, workspace, tmp_path,
+                                                                argv, reads):
+        argv = [a.format(ws=workspace) for a in argv]
+        expected = {key: argv[argv.index("--" + key) + 1] for key in reads}
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(argv + ["--out", str(first)]) == 0
+        assert RunManifest.load(first / "manifest.json").inputs == expected
+        assert main(["replay", "--manifest", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        assert RunManifest.load(second / "manifest.json").inputs == expected
+
+    @pytest.mark.parametrize("command", ["no-such", "replay"])
+    def test_unknown_command_is_rejected(self, tmp_path, command):
+        # a replay manifest that names itself would otherwise repeat forever
+        path = tmp_path / "m.json"
+        RunManifest(command=command, config={"manifest": str(path), "out": None}).save(path)
+        assert main(["replay", "--manifest", str(path), "--out", str(tmp_path)]) == 3
 
 
 class TestFileBoundary:
@@ -747,8 +774,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     ["paint", "--target", "t", "--predictor", "p", "--layers", "0"],
     ["gen-data", "--count", "1", "--seed", "-1"],
     ["fit-stroke", "--target", "t", "--iterations", "2", "--seed", "1"],
+    ["fit-stroke", "--target", "t", "--seed", "-1"],
 ], ids=["epochs", "batch-size", "negative-count", "zero-count", "canvas-size", "mc-draws",
-        "holdout-scenes", "layers", "negative-seed", "iterations"])
+        "holdout-scenes", "layers", "negative-seed", "iterations", "fit-stroke-negative-seed"])
 def test_out_of_range_flag_exits_two_before_writing(tmp_path, argv):
     out = tmp_path / "out"
     done = subprocess.run([sys.executable, "-m", "strokecraft.cli", *argv, "--out", str(out)],
@@ -759,65 +787,92 @@ def test_out_of_range_flag_exits_two_before_writing(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["direct", "replay"])
+@pytest.mark.parametrize("lr", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["train-diffusion", "--data", "{ws}/data16", "--steps", "4", "--epochs", "1",
+     "--prior-pairs", "1", "--seed", "1"],
+    ["train-predictor", "--canvas-size", "16", "--epochs", "1", "--scenes-per-epoch", "1",
+     "--holdout-scenes", "1", "--seed", "1"],
+], ids=["train-diffusion", "train-predictor"])
+def test_learning_rate_that_is_not_positive_exits_two_before_writing(workspace, tmp_path,
+                                                                     capsys, argv, lr, via):
+    out = tmp_path / "out"
+    argv = [a.format(ws=workspace) for a in argv] + ["--lr", lr, "--out", str(out)]
+    if via == "replay":
+        config = vars(build_parser().parse_args(argv))
+        RunManifest(command=config.pop("command"), config=config).save(tmp_path / "m.json")
+        argv = ["replay", "--manifest", str(tmp_path / "m.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "learning rate must be positive" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_readme_cli_lines_parse_and_pass_the_range_checks():
+    block = README.read_text(encoding="utf-8").split("## CLI")[1].split("```sh\n")[1]
+    lines = block.split("```")[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("strokecraft ")]
+    assert len(commands) == 10
+    for argv in commands:
+        config = vars(build_parser().parse_args(argv))
+        cli._check_ranges(config.pop("command"), config)
+
+
 def float_flags():
-    """Every float-valued flag of every command, as the parser declares them."""
-    commands = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    return [pytest.param(name, action, id=f"{name} {action.option_strings[0]}")
-            for name, sub in commands.choices.items() for action in sub._actions
-            if action.type in (float, cli._lambda_triple)]
+    """Every float-valued flag of every command, as the command table declares them."""
+    return [pytest.param(name, flag, id=f"{name} {flag.option}")
+            for name, command in cli.COMMANDS.items() for flag in command.flags
+            if flag.type in (float, cli._lambda_triple)]
 
 
 def required_argv(command):
     """The command's required flags other than --out, with values that pass the range checks."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction)).choices[command]
     argv = [command]
-    for action in sub._actions:
-        if action.required and action.dest != "out":
-            argv += [action.option_strings[0], "1" if action.type is int else "missing"]
+    for flag in cli.COMMANDS[command].flags:
+        if flag.required and flag.name != "out":
+            argv += [flag.option, "1" if flag.type is int else "missing"]
     return argv
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("command, action", float_flags())
-def test_non_finite_float_flag_exits_two_before_writing(tmp_path, capsys, command, action, bad):
-    flag = action.option_strings[0]
+@pytest.mark.parametrize("command, flag", float_flags())
+def test_non_finite_float_flag_exits_two_before_writing(tmp_path, capsys, command, flag, bad):
+    option = flag.option
     values = ([",".join(bad if i == part else "1" for i in range(3)) for part in range(3)]
-              if action.type is cli._lambda_triple else [bad])
+              if flag.type is cli._lambda_triple else [bad])
     for value in values:
-        argv = required_argv(command) + [f"{flag}={value}"]
+        argv = required_argv(command) + [f"{option}={value}"]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
-        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert f"{option} must be finite" in capsys.readouterr().err
         assert not out.exists()
         # the same value recorded in a manifest is refused on replay
         config = {k: v for k, v in vars(build_parser().parse_args(argv + ["--out", "x"])).items()
                   if k != "command"}
-        if isinstance(config[action.dest], tuple):
-            config[action.dest] = list(config[action.dest])
         RunManifest(command=command, config=config).save(tmp_path / "manifest.json")
         assert main(["replay", "--manifest", str(tmp_path / "manifest.json"),
                      "--out", str(out)]) == 2
-        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert f"{option} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command, action", float_flags())
+@pytest.mark.parametrize("command, flag", float_flags())
 def test_replayed_int_past_float_range_exits_two_before_writing(tmp_path, capsys, command,
-                                                                 action):
-    flag = action.option_strings[0]
+                                                                 flag):
+    option = flag.option
     argv = required_argv(command) + ["--out", str(tmp_path / "out")]
     config = {k: v for k, v in vars(build_parser().parse_args(argv)).items() if k != "command"}
     huge = 10**400
     values = ([[huge if i == part else 1 for i in range(3)] for part in range(3)]
-              if action.type is cli._lambda_triple else [huge])
+              if flag.type is cli._lambda_triple else [huge])
     for value in values:
-        config[action.dest] = value
+        config[flag.name] = value
         RunManifest(command=command, config=config).save(tmp_path / "manifest.json")
         assert main(["replay", "--manifest", str(tmp_path / "manifest.json")]) == 2
         err = capsys.readouterr().err
-        assert f"{flag} must be finite" in err and "Traceback" not in err
+        assert f"{option} must be finite" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 
