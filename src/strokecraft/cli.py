@@ -552,6 +552,10 @@ def main(argv=None) -> int:
     except StrokecraftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        # sizes past this machine's memory (say --mc-draws 10**11) are bad arguments
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return ConfigError.exit_code
     return 0
 
 

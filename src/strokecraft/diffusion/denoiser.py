@@ -56,8 +56,9 @@ class Denoiser:
         }
         return cls(arch=arch, params=nn.init_params(_param_shapes(arch), rng))
 
-    def _layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        views = nn.param_views(self.params, _param_shapes(self.arch))
+    def _layers(self, flat: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views into ``flat`` (the parameters by default), per layer."""
+        views = nn.param_views(self.params if flat is None else flat, _param_shapes(self.arch))
         return list(zip(views[0::2], views[1::2]))
 
     def _features(self, x: np.ndarray, t) -> np.ndarray:
@@ -98,15 +99,16 @@ class Denoiser:
         loss = float(np.mean(diff * diff))
 
         layers = self._layers()
-        grads = []
+        # each layer's gradient goes straight into its slice of one flat vector
+        grad = np.empty_like(self.params)
+        grad_layers = self._layers(grad)
         grad_h = 2.0 * diff / diff.size
         for i in range(len(layers) - 1, -1, -1):
             w, _ = layers[i]
-            grad_x, grad_w, grad_b = nn.linear_backward(acts[i], w, grad_h)
-            grads[:0] = [grad_w, grad_b]
+            grad_x = nn.linear_backward(acts[i], w, grad_h, *grad_layers[i])
             if i > 0:
                 grad_h = grad_x * nn.dtanh(acts[i])
-        return loss, np.concatenate([g.ravel() for g in grads])
+        return loss, grad
 
     def save(self, path) -> None:
         nn.save_checkpoint(path, self.arch, self.params)

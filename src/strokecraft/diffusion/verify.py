@@ -85,8 +85,9 @@ def verify_identities(
     # 3. forward draw matches the stated marginal moments, by Monte Carlo
     t_mid = int(np.argmin(np.abs(schedule.alpha_bars - 0.5)))
     eta = 0.25
-    x0_v = np.full(mc_draws, 1.0)
-    x_s_v = np.full(mc_draws, 2.0)
+    # constant inputs as read-only views: only the noise and x_t take mc_draws floats
+    x0_v = np.broadcast_to(1.0, (mc_draws,))
+    x_s_v = np.broadcast_to(2.0, (mc_draws,))
     draw = smr_forward_sample(x0_v, x_s_v, t_mid, eta, schedule, rng=rng)
     ref = smr_marginal_moments(np.float64(1.0), np.float64(2.0), t_mid, eta, schedule)
     sd = math.sqrt(ref.variance)

@@ -84,12 +84,12 @@ def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def linear_backward(
-    x: np.ndarray, w: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grad_x = grad_out @ w.T
-    grad_w = x.T @ grad_out
-    grad_b = grad_out.sum(axis=0)
-    return grad_x, grad_w, grad_b
+    x: np.ndarray, w: np.ndarray, grad_out: np.ndarray, grad_w: np.ndarray, grad_b: np.ndarray
+) -> np.ndarray:
+    """Input gradient; the weight and bias gradients are written into ``grad_w`` and ``grad_b``."""
+    np.matmul(x.T, grad_out, out=grad_w)
+    grad_out.sum(axis=0, out=grad_b)
+    return grad_out @ w.T
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
@@ -137,17 +137,18 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    cache: tuple, w: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cache: tuple, w: np.ndarray, grad_out: np.ndarray, grad_w: np.ndarray, grad_b: np.ndarray
+) -> np.ndarray:
+    """Input gradient; the kernel and bias gradients are written into ``grad_w`` and
+    ``grad_b``, which must be C-contiguous, as ``param_views`` gives them."""
     cols, x_shape, w_shape, stride, pad = cache
     cout, cin, kh, kw = w_shape
     bsz = grad_out.shape[0]
     gmat = grad_out.reshape(bsz, cout, -1)
-    grad_w = np.einsum("bop,bkp->ok", gmat, cols).reshape(w_shape)
-    grad_b = gmat.sum(axis=(0, 2))
+    np.einsum("bop,bkp->ok", gmat, cols, out=grad_w.reshape(cout, -1))
+    gmat.sum(axis=(0, 2), out=grad_b)
     grad_cols = np.einsum("ok,bop->bkp", w.reshape(cout, -1), gmat)
-    grad_x = _col2im(grad_cols, x_shape, kh, kw, stride, pad)
-    return grad_x, grad_w, grad_b
+    return _col2im(grad_cols, x_shape, kh, kw, stride, pad)
 
 
 class Adam:

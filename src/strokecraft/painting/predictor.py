@@ -82,8 +82,9 @@ class StrokePredictor:
         }
         return cls(arch=arch, params=nn.init_params(_param_shapes(arch), rng))
 
-    def _views(self) -> list[np.ndarray]:
-        return nn.param_views(self.params, _param_shapes(self.arch))
+    def _views(self, flat: np.ndarray | None = None) -> list[np.ndarray]:
+        """Per-tensor views into ``flat`` (the parameters by default)."""
+        return nn.param_views(self.params if flat is None else flat, _param_shapes(self.arch))
 
     def _stack(self, current: Canvas, target: Canvas) -> np.ndarray:
         side = self.arch["input_side"]
@@ -115,16 +116,19 @@ class StrokePredictor:
         return u.reshape(self.arch["max_strokes"], OUT_PER_STROKE), cache
 
     def _backward(self, grad_u: np.ndarray, cache: dict) -> np.ndarray:
-        w1, b1, w2, b2, w3, b3, w4, b4 = self._views()
+        w1, _, w2, _, w3, _, w4, _ = self._views()
+        # each tensor's gradient goes straight into its slice of one flat vector
+        grad = np.empty_like(self.params)
+        gw1, gb1, gw2, gb2, gw3, gb3, gw4, gb4 = self._views(grad)
         grad_raw = grad_u.reshape(cache["u"].shape) * nn.dsigmoid(cache["u"])
-        grad_a3, gw4, gb4 = nn.linear_backward(cache["a3"], w4, grad_raw)
+        grad_a3 = nn.linear_backward(cache["a3"], w4, grad_raw, gw4, gb4)
         grad_h3 = grad_a3 * nn.dtanh(cache["a3"])
-        grad_flat, gw3, gb3 = nn.linear_backward(cache["flat"], w3, grad_h3)
+        grad_flat = nn.linear_backward(cache["flat"], w3, grad_h3, gw3, gb3)
         grad_h2 = grad_flat.reshape(cache["a2"].shape) * nn.dtanh(cache["a2"])
-        grad_a1, gw2, gb2 = nn.conv2d_backward(cache["cache2"], w2, grad_h2)
+        grad_a1 = nn.conv2d_backward(cache["cache2"], w2, grad_h2, gw2, gb2)
         grad_h1 = grad_a1 * nn.dtanh(cache["a1"])
-        _, gw1, gb1 = nn.conv2d_backward(cache["cache1"], w1, grad_h1)
-        return np.concatenate([g.ravel() for g in (gw1, gb1, gw2, gb2, gw3, gb3, gw4, gb4)])
+        nn.conv2d_backward(cache["cache1"], w1, grad_h1, gw1, gb1)
+        return grad
 
     def save(self, path) -> None:
         nn.save_checkpoint(path, self.arch, self.params)

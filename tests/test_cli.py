@@ -876,6 +876,44 @@ def test_replayed_int_past_float_range_exits_two_before_writing(tmp_path, capsys
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("via", ["direct", "replay"])
+@pytest.mark.parametrize("target, argv", [
+    ("verify_identities", ["verify-math", "--mc-draws", "100000000000", "--seed", "1"]),
+    ("ancestral_sample", ["sample", "--checkpoint", "{ws}/dtrain/denoiser.ckpt",
+                          "--count", "100000000000", "--canvas-size", "16", "--steps", "16",
+                          "--seed", "1"]),
+], ids=["verify-math", "sample"])
+def test_impossible_allocation_exits_two_before_writing(workspace, tmp_path, capsys,
+                                                        monkeypatch, target, argv, via):
+    # numpy's _ArrayMemoryError is a MemoryError; raise one rather than allocate for real
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(f"strokecraft.cli.{target}", out_of_memory)
+    out = tmp_path / "out"
+    argv = [a.format(ws=workspace) for a in argv] + ["--out", str(out)]
+    if via == "replay":
+        config = vars(build_parser().parse_args(argv))
+        RunManifest(command=config.pop("command"), config=config).save(tmp_path / "m.json")
+        argv = ["replay", "--manifest", str(tmp_path / "m.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory: Unable to allocate 745. GiB for an array "
+                   "with shape (100000000000,)\n")
+    assert not out.exists()
+
+
+def test_memory_error_without_a_message_still_names_the_failure(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("strokecraft.cli.verify_identities", out_of_memory)
+    capsys.readouterr()
+    assert main(["verify-math", "--seed", "1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: out of memory: allocation failed\n"
+
+
 class TestParser:
     def test_missing_required_flag_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

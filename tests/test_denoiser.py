@@ -31,6 +31,20 @@ def make_batch(rng, schedule, dim=12, size=3):
             np.stack([d.tau for d in draws]))
 
 
+def concatenated_layer_gradients(net, x, t, target):
+    """The loss gradient as one list of per-layer arrays, concatenated at the end."""
+    out, acts = net._forward(net._features(x, t))
+    diff = out - np.atleast_2d(target)
+    layers = net._layers()
+    grads = []
+    grad_h = 2.0 * diff / diff.size
+    for i in range(len(layers) - 1, -1, -1):
+        grads[:0] = [acts[i].T @ grad_h, grad_h.sum(axis=0)]
+        if i > 0:
+            grad_h = (grad_h @ layers[i][0].T) * nn.dtanh(acts[i])
+    return np.concatenate([g.ravel() for g in grads])
+
+
 class TestTimeEmbedding:
     def test_shape_and_bounds(self):
         emb = time_embedding(np.arange(10.0), 16)
@@ -114,6 +128,15 @@ class TestTrainingLoss:
                 proj = float(grad @ direction)
                 worst = max(worst, abs(fd - proj) / max(abs(fd), abs(proj), 1e-8))
         assert worst <= 1e-4
+
+    def test_gradient_is_bit_equal_to_concatenated_layer_gradients(self):
+        rng = np.random.default_rng(11)
+        schedule = build_schedule(32)
+        for hidden in [(8,), (16, 8), (5, 7, 3)]:
+            net = Denoiser.create(12, hidden=hidden, time_dim=6, rng=rng)
+            x, t, tau = make_batch(rng, schedule)
+            _, grad = net.loss_and_grad(x, t, tau)
+            assert grad.tobytes() == concatenated_layer_gradients(net, x, t, tau).tobytes()
 
     def test_empty_batch_is_a_config_error(self):
         net = Denoiser.create(4, hidden=(8,), rng=np.random.default_rng(6))

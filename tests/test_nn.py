@@ -110,3 +110,26 @@ class TestInPlace:
         x = np.random.default_rng(22).normal(size=shape)
         np.testing.assert_array_equal(nn._im2col(x, 3, 3, stride, pad),
                                       padded_im2col(x, 3, 3, stride, pad))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_backward_fills_views_with_the_bits_of_fresh_arrays(self, batch):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(batch, 2, 8, 8))
+        w = rng.normal(size=(4, 2, 3, 3))
+        out, cache = nn.conv2d_forward(x, w, rng.normal(size=4), stride=2, pad=1)
+        grad_out = rng.normal(size=out.shape)
+        xs, lin_w, lin_grad = (rng.normal(size=s) for s in [(batch, 5), (5, 6), (batch, 6)])
+        flat = np.full(w.size + 4 + lin_w.size + 6, np.nan)
+        kernel, bias, weight, lin_bias = nn.param_views(flat, [w.shape, (4,), (5, 6), (6,)])
+        got = [nn.conv2d_backward(cache, w, grad_out, kernel, bias), kernel, bias,
+               nn.linear_backward(xs, lin_w, lin_grad, weight, lin_bias), weight, lin_bias]
+        # the expressions the backward passes returned as fresh arrays
+        gmat = grad_out.reshape(batch, 4, -1)
+        grad_cols = np.einsum("ok,bop->bkp", w.reshape(4, -1), gmat)
+        want = [nn._col2im(grad_cols, x.shape, 3, 3, 2, 1),
+                np.einsum("bop,bkp->ok", gmat, cache[0]).reshape(w.shape),
+                gmat.sum(axis=(0, 2)),
+                lin_grad @ lin_w.T, xs.T @ lin_grad, lin_grad.sum(axis=0)]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert np.isfinite(flat).all()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
+from strokecraft import nn
 from strokecraft.errors import ConfigError, NumericalError
 from strokecraft.painting import (
     GroundTruthStroke,
@@ -52,6 +53,33 @@ def small_predictor(seed=3, side=8, max_strokes=3):
     rng = np.random.default_rng(seed)
     return StrokePredictor.create(rng, input_side=side, conv_channels=(4, 6),
                                   fc_hidden=16, max_strokes=max_strokes)
+
+
+def fresh_linear_backward(x, w, grad_out):
+    return grad_out @ w.T, x.T @ grad_out, grad_out.sum(axis=0)
+
+
+def fresh_conv2d_backward(cache, w, grad_out):
+    cols, x_shape, w_shape, stride, pad = cache
+    cout, _, kh, kw = w_shape
+    gmat = grad_out.reshape(grad_out.shape[0], cout, -1)
+    grad_cols = np.einsum("ok,bop->bkp", w.reshape(cout, -1), gmat)
+    return (nn._col2im(grad_cols, x_shape, kh, kw, stride, pad),
+            np.einsum("bop,bkp->ok", gmat, cols).reshape(w_shape), gmat.sum(axis=(0, 2)))
+
+
+def concatenated_tensor_gradients(predictor, grad_u, cache):
+    """The predictor's backward pass as a list of fresh per-tensor arrays, concatenated."""
+    w1, _, w2, _, w3, _, w4, _ = predictor._views()
+    grad_raw = grad_u.reshape(cache["u"].shape) * nn.dsigmoid(cache["u"])
+    grad_a3, gw4, gb4 = fresh_linear_backward(cache["a3"], w4, grad_raw)
+    grad_h3 = grad_a3 * nn.dtanh(cache["a3"])
+    grad_flat, gw3, gb3 = fresh_linear_backward(cache["flat"], w3, grad_h3)
+    grad_h2 = grad_flat.reshape(cache["a2"].shape) * nn.dtanh(cache["a2"])
+    grad_a1, gw2, gb2 = fresh_conv2d_backward(cache["cache2"], w2, grad_h2)
+    grad_h1 = grad_a1 * nn.dtanh(cache["a1"])
+    _, gw1, gb1 = fresh_conv2d_backward(cache["cache1"], w1, grad_h1)
+    return np.concatenate([g.ravel() for g in (gw1, gb1, gw2, gb2, gw3, gb3, gw4, gb4)])
 
 
 def tiny_scene(seed, side=8, count=2):
@@ -662,6 +690,18 @@ class TestPredictor:
         denoiser.save(path)
         with pytest.raises(ConfigError):
             StrokePredictor.load(path)
+
+    def test_gradient_is_bit_equal_to_concatenated_tensor_gradients(self):
+        rng = np.random.default_rng(14)
+        for seed, side, max_strokes in [(3, 8, 3), (4, 8, 1), (5, 12, 2)]:
+            predictor = small_predictor(seed, side, max_strokes)
+            _, target, _ = tiny_scene(seed, side)
+            x = predictor._stack(Canvas.white(side), target)
+            _, cache = predictor._forward(x)
+            grad_u = rng.standard_normal((max_strokes, 17))
+            got = predictor._backward(grad_u, cache)
+            assert got.tobytes() == concatenated_tensor_gradients(predictor, grad_u,
+                                                                  cache).tobytes()
 
     def test_loss_gradient_matches_finite_differences(self):
         predictor = small_predictor()

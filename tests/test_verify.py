@@ -1,8 +1,15 @@
 """The identity suite passes on healthy formulas and trips on corrupted ones."""
 
+import tracemalloc
+
 import numpy as np
 
-from strokecraft.diffusion import build_schedule, recover_x0, smr_posterior_moments
+from strokecraft.diffusion import (
+    build_schedule,
+    recover_x0,
+    smr_forward_sample,
+    smr_posterior_moments,
+)
 from strokecraft.diffusion.process import GaussianMoments
 from strokecraft.diffusion.verify import all_passed, verify_identities
 
@@ -53,3 +60,25 @@ def test_corrupted_x0_recovery_is_caught(monkeypatch):
     checks = verify_identities(schedule, rng=np.random.default_rng(3), mc_draws=10_000)
     failed = {c.name for c in checks if not c.passed}
     assert failed == {"tau_round_trip"}
+
+
+def test_monte_carlo_check_holds_no_constant_input_arrays():
+    # the draw needs mc_draws floats each for eps, eps* and x_t (4.6 MiB at 200,000);
+    # full arrays for the constant x0 and x_s would add 3.1 MiB more
+    schedule = build_schedule(1000)
+    tracemalloc.start()
+    try:
+        verify_identities(schedule, rng=np.random.default_rng(0), mc_draws=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_broadcast_constant_inputs_draw_the_same_bits_as_full_arrays():
+    schedule = build_schedule(1000)
+    views = smr_forward_sample(np.broadcast_to(1.0, (5000,)), np.broadcast_to(2.0, (5000,)),
+                               500, 0.25, schedule, rng=np.random.default_rng(4))
+    full = smr_forward_sample(np.full(5000, 1.0), np.full(5000, 2.0),
+                              500, 0.25, schedule, rng=np.random.default_rng(4))
+    assert views.x_t.tobytes() == full.x_t.tobytes()
