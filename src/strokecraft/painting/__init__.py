@@ -16,6 +16,7 @@ from .losses import (
     MatchConfig,
     StrokePrediction,
     hungarian_assignment,
+    match_assignment,
     matching_loss,
     p_minus,
     ranking_loss,
@@ -50,6 +51,7 @@ __all__ = [
     "layered_paint",
     "loss_and_grad",
     "make_scene",
+    "match_assignment",
     "matching_loss",
     "order_strokes",
     "p_minus",

@@ -190,14 +190,12 @@ def hungarian_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return linear_sum_assignment(cost)
 
 
-def matching_loss(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
-                  cfg: MatchConfig) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Assignment-optimal matching loss with gradients in the predictions.
+def _match_costs(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
+                 cfg: MatchConfig) -> tuple[np.ndarray, ...]:
+    """Validated matching inputs and the cost of each (ground truth, prediction) pair.
 
-    Ground-truth strokes are all present (d = 1); every unmatched
-    prediction pays the cross-entropy of claiming a stroke where none is.
-    Returns (loss, d loss/d pred_p, d loss/d pred_d, matched prediction
-    index per ground-truth row; empty without ground-truth strokes).
+    Returns (pred_p, pred_d, gt_p, clamped pred_d, dot products, ground-truth
+    norms, prediction norms, nonzero-pair mask, cost matrix).
     """
     pred_p = np.asarray(pred_p, dtype=np.float64)
     pred_d = np.asarray(pred_d, dtype=np.float64)
@@ -223,10 +221,42 @@ def matching_loss(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
     l1 = np.abs(gt_p[:, None] - pred_p).sum(axis=2)
     cost = (cfg.lambda_l1 * l1 + cfg.lambda_cos * cos
             + cfg.lambda_presence * -np.log(clamped))
-    assignment = np.empty(n, dtype=np.int64)
-    if n:
+    return pred_p, pred_d, gt_p, clamped, dot, gt_norm, pred_norm, nonzero, cost
+
+
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Matched column per row of a cost matrix with no more rows than columns."""
+    assignment = np.empty(cost.shape[0], dtype=np.int64)
+    if len(assignment):
         rows, cols = hungarian_assignment(cost)
         assignment[rows] = cols
+    return assignment
+
+
+def match_assignment(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
+                     cfg: MatchConfig) -> np.ndarray:
+    """The matched prediction index per ground-truth row, as matching_loss gives it.
+
+    Takes the same inputs, checks them the same way, and computes the
+    same cost matrix, but neither the loss nor its gradients.
+    """
+    return _assign(_match_costs(pred_p, pred_d, gt_p, cfg)[-1])
+
+
+def matching_loss(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
+                  cfg: MatchConfig) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Assignment-optimal matching loss with gradients in the predictions.
+
+    Ground-truth strokes are all present (d = 1); every unmatched
+    prediction pays the cross-entropy of claiming a stroke where none is.
+    Returns (loss, d loss/d pred_p, d loss/d pred_d, matched prediction
+    index per ground-truth row; empty without ground-truth strokes).
+    """
+    pred_p, pred_d, gt_p, clamped, dot, gt_norm, pred_norm, nonzero, cost = _match_costs(
+        pred_p, pred_d, gt_p, cfg)
+    m = pred_p.shape[0]
+    n = gt_p.shape[0]
+    assignment = _assign(cost)
     pair = (np.arange(n), assignment)
     matched = np.zeros(m, dtype=bool)
     matched[assignment] = True

@@ -16,7 +16,8 @@ from .. import nn
 from ..errors import ConfigError, NumericalError
 from ..strokes.canvas import Canvas
 from ..strokes.model import PARAM_COUNT, ParamRanges
-from .losses import MatchConfig, StrokePrediction, p_minus_scale, total_predictor_loss
+from .losses import (MatchConfig, StrokePrediction, match_assignment, p_minus_scale,
+                     total_predictor_loss)
 
 DEFAULT_INPUT_SIDE = 32
 DEFAULT_CONV_CHANNELS = (8, 16)
@@ -167,6 +168,33 @@ def predict_strokes(predictor: StrokePredictor, current: Canvas, target: Canvas,
     ]
 
 
+def _match_inputs(u: np.ndarray, gts: list, side: float,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Slot outputs and ground truths as the losses take them.
+
+    Returns (P-minus slot vectors, presence confidences, P-minus
+    ground-truth stack, the slope taking normalized parameters to P-minus).
+    """
+    slope, intercept = _p_minus_affine(side)
+    pred_p = np.concatenate(
+        [intercept + slope * u[:, :PARAM_COUNT], u[:, PARAM_COUNT:PARAM_COUNT + 2]], axis=1
+    )
+    gt_p = np.array([g.p_minus(side) for g in gts]).reshape(len(gts), pred_p.shape[1])
+    return pred_p, u[:, PARAM_COUNT + 3], gt_p, slope
+
+
+def forward_assignment(predictor: StrokePredictor, current: Canvas, target: Canvas,
+                       gts: list, cfg: MatchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One forward pass and the matching, without the loss or its gradient.
+
+    Returns (slot outputs u, matched prediction index per ground truth),
+    the same bits as forward_loss gives them.
+    """
+    u, _ = predictor._forward(predictor._stack(current, target))
+    pred_p, pred_d, gt_p, _ = _match_inputs(u, gts, float(predictor.arch["input_side"]))
+    return u, match_assignment(pred_p, pred_d, gt_p, cfg)
+
+
 def forward_loss(predictor: StrokePredictor, current: Canvas, target: Canvas,
                  gts: list, cfg: MatchConfig,
                  ) -> tuple[np.ndarray, dict, float, np.ndarray, np.ndarray]:
@@ -176,18 +204,11 @@ def forward_loss(predictor: StrokePredictor, current: Canvas, target: Canvas,
     prediction index per ground truth); the ranking score of slot j is
     u[j, PARAM_COUNT + 2].
     """
-    side = float(predictor.arch["input_side"])
     u, cache = predictor._forward(predictor._stack(current, target))
-    slope, intercept = _p_minus_affine(side)
-    pred_p = np.concatenate(
-        [intercept + slope * u[:, :PARAM_COUNT], u[:, PARAM_COUNT:PARAM_COUNT + 2]], axis=1
-    )
-    pred_scr = u[:, PARAM_COUNT + 2]
-    pred_d = u[:, PARAM_COUNT + 3]
-    gt_p = np.array([g.p_minus(side) for g in gts]).reshape(len(gts), pred_p.shape[1])
+    pred_p, pred_d, gt_p, slope = _match_inputs(u, gts, float(predictor.arch["input_side"]))
     gt_order = np.array([g.order_index for g in gts])
     loss, grad_p, grad_d, grad_scr, assignment = total_predictor_loss(
-        pred_p, pred_d, pred_scr, gt_p, gt_order, cfg
+        pred_p, pred_d, u[:, PARAM_COUNT + 2], gt_p, gt_order, cfg
     )
     grad_u = np.empty_like(u)
     grad_u[:, :PARAM_COUNT] = grad_p[:, :PARAM_COUNT] * slope

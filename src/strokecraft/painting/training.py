@@ -13,7 +13,7 @@ from ..strokes.generate import generate_visible_stroke
 from ..strokes.model import PARAM_COUNT
 from ..strokes.raster import DEFAULT_SAMPLES, compose_over, polyline_points
 from .losses import GroundTruthStroke, MatchConfig
-from .predictor import StrokePredictor, forward_loss, loss_and_grad
+from .predictor import StrokePredictor, forward_assignment, loss_and_grad
 
 DEFAULT_SCENE_SIDE = 32
 
@@ -103,7 +103,7 @@ class PredictorTraining:
 
 
 def _holdout_rank_error(predictor: StrokePredictor, scenes: list, cfg: MatchConfig) -> float:
-    """Mean pairwise rank error of the matched slots, one forward pass per scene.
+    """Mean pairwise rank error of the matched slots, one forward pass and matching per scene.
 
     Scenes with fewer than two strokes have no pair to rank; with no other
     scene the error is undefined, so it is nan.
@@ -112,7 +112,7 @@ def _holdout_rank_error(predictor: StrokePredictor, scenes: list, cfg: MatchConf
     for current, target, gts in scenes:
         if len(gts) < 2:
             continue
-        u, _, _, _, assignment = forward_loss(predictor, current, target, gts, cfg)
+        u, assignment = forward_assignment(predictor, current, target, gts, cfg)
         scr = u[:, PARAM_COUNT + 2]
         order = np.array([g.order_index for g in gts])
         errors.append(pairwise_rank_error(scr[assignment], order))

@@ -1,6 +1,8 @@
 """Shared flat-parameter layout: init, views and the checkpoint loader; the
 in-place optimizer and im2col against the plain expressions they replace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,11 +86,14 @@ def padded_im2col(x, kh, kw, stride, pad):
     return cols.reshape(b, c * kh * kw, hp * wp)
 
 
+BLOCK = nn.Adam.BLOCK
+
+
 class TestInPlace:
     @pytest.mark.parametrize("lr", [1e-3, 3e-2])
-    def test_adam_matches_the_plain_expression(self, lr):
+    @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_adam_matches_the_plain_expression(self, size, lr):
         rng = np.random.default_rng(21)
-        size = 1000
         params = rng.normal(size=size)
         expected = params.copy()
         m, v = np.zeros(size), np.zeros(size)
@@ -96,12 +101,53 @@ class TestInPlace:
         for t in range(1, 61):
             grad = rng.normal(size=size) * rng.uniform(0.0, 3.0)
             grad[:10] = 0.0  # moments that only decay
+            seen = grad.copy()
             adam.update(params, grad)
+            np.testing.assert_array_equal(grad, seen)
             m, v = plain_adam_update(expected, grad, m, v, t, lr,
                                      nn.Adam.beta1, nn.Adam.beta2, nn.Adam.eps)
             np.testing.assert_array_equal(params, expected)
         np.testing.assert_array_equal(adam.m, m)
         np.testing.assert_array_equal(adam.v, v)
+
+    @pytest.mark.parametrize("size", [0, 1, BLOCK, 150_352])
+    def test_adam_work_buffers_hold_one_block(self, size):
+        adam = nn.Adam(size)
+        assert adam._step.size == adam._denom.size == min(size, BLOCK)
+
+    def test_adam_holds_no_full_size_work_vector(self):
+        # the stroke predictor's size: m and v take 2.41 MB, two full-size
+        # work buffers another 2.41 MB, two blocks 0.26 MB
+        size = 150_352
+        rng = np.random.default_rng(24)
+        params, grad = rng.normal(size=size), rng.normal(size=size)
+        tracemalloc.start()
+        try:
+            adam = nn.Adam(size)
+            for _ in range(3):
+                adam.update(params, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
+
+    @pytest.mark.parametrize("params_shape, grad_shape", [
+        ((5,), (1,)), ((5,), (6,)), ((5,), (4,)), ((4,), (5,)), ((6,), (5,)),
+        ((5,), ()), ((5,), (5, 1)), ((1, 5), (5,)),
+    ])
+    def test_adam_refuses_a_mismatched_shape_before_any_change(self, params_shape, grad_shape):
+        rng = np.random.default_rng(25)
+        adam = nn.Adam(5)
+        adam.update(rng.normal(size=5), rng.normal(size=5))
+        state = (adam.t, adam.m.copy(), adam.v.copy())
+        params = rng.normal(size=params_shape)
+        before = params.copy()
+        with pytest.raises(ConfigError, match="Adam over 5 values"):
+            adam.update(params, np.ones(grad_shape))
+        assert adam.t == state[0]
+        np.testing.assert_array_equal(adam.m, state[1])
+        np.testing.assert_array_equal(adam.v, state[2])
+        np.testing.assert_array_equal(params, before)
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("pad", [0, 1, 2])

@@ -20,6 +20,7 @@ from strokecraft.painting import (
     layered_paint,
     loss_and_grad,
     make_scene,
+    match_assignment,
     matching_loss,
     order_strokes,
     p_minus,
@@ -39,6 +40,7 @@ from strokecraft.diffusion.denoiser import Denoiser
 from strokecraft.painting.losses import PROB_FLOOR
 from strokecraft.strokes import (
     BezierStroke,
+    PARAM_COUNT,
     Canvas,
     ParamRanges,
     compose_over,
@@ -460,6 +462,35 @@ class TestMatchingLoss:
     def test_more_ground_truth_than_predictions_rejected(self):
         with pytest.raises(ConfigError):
             matching_loss(np.ones((2, 15)), np.ones(2), np.ones((3, 15)), CFG)
+
+    @pytest.mark.parametrize("pred_p, pred_d, gt_p", [
+        (np.ones((2, 15)), np.ones(2), np.ones((3, 15))),
+        (np.ones((2, 15)), np.ones(3), np.ones((1, 15))),
+        (np.ones((2, 15)), np.ones(2), np.ones((1, 14))),
+        (np.ones(15), np.ones(1), np.ones((1, 15))),
+    ])
+    def test_assignment_alone_rejects_what_the_loss_rejects(self, pred_p, pred_d, gt_p):
+        with pytest.raises(ConfigError) as rejected:
+            matching_loss(pred_p, pred_d, gt_p, CFG)
+        with pytest.raises(ConfigError) as alone:
+            match_assignment(pred_p, pred_d, gt_p, CFG)
+        assert str(alone.value) == str(rejected.value)
+
+    def test_assignment_alone_equals_the_loss_assignment(self):
+        rng = np.random.default_rng(15)
+        ties = 0
+        for _ in range(30):
+            for m in range(1, 9):
+                for n in (0, 1, m):
+                    pred_p, pred_d, _, gt_p, _ = self.random_instance(rng, m, n)
+                    if m > 1 and rng.uniform() < 0.5:
+                        # a duplicated slot ties two columns of the cost matrix
+                        pred_p[m - 1], pred_d[m - 1] = pred_p[0], pred_d[0]
+                        ties += 1
+                    np.testing.assert_array_equal(
+                        match_assignment(pred_p, pred_d, gt_p, CFG),
+                        matching_loss(pred_p, pred_d, gt_p, CFG)[3])
+        assert ties > 50
 
     @staticmethod
     def random_instance(rng, m, n):
@@ -1065,6 +1096,28 @@ class TestTraining:
         scenes = [tiny_scene(50, side=8, count=1), tiny_scene(51, side=8, count=0)]
         assert np.isnan(_holdout_rank_error(small_predictor(), scenes, MatchConfig(max_strokes=3)))
         assert np.isnan(_holdout_rank_error(small_predictor(), [], MatchConfig(max_strokes=3)))
+
+    def test_holdout_rank_error_equals_a_transcription_through_the_loss(self):
+        from strokecraft.painting.predictor import forward_assignment, forward_loss
+        from strokecraft.painting.training import _holdout_rank_error
+
+        cfg = MatchConfig(max_strokes=5)
+        predictor = small_predictor(seed=44, side=16, max_strokes=5)
+        rng = np.random.default_rng(45)
+        scenes = [make_scene(rng, 16, max_strokes=5) for _ in range(8)]
+        scenes.append(make_scene(rng, 16, max_strokes=1))  # skipped: one stroke
+        errors = []
+        for current, target, gts in scenes:
+            if len(gts) < 2:
+                continue
+            u, _, _, _, assignment = forward_loss(predictor, current, target, gts, cfg)
+            alone = forward_assignment(predictor, current, target, gts, cfg)
+            np.testing.assert_array_equal(alone[0], u)
+            np.testing.assert_array_equal(alone[1], assignment)
+            order = np.array([g.order_index for g in gts])
+            errors.append(pairwise_rank_error(u[:, PARAM_COUNT + 2][assignment], order))
+        assert len(errors) == 8 and len(set(errors)) > 1
+        assert _holdout_rank_error(predictor, scenes, cfg) == float(np.mean(errors))
 
     def test_holdout_rank_error_equals_the_two_call_computation(self):
         """One forward per scene gives the same bits as loss_and_grad plus predict_strokes."""
