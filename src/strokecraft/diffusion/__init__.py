@@ -11,6 +11,7 @@ from .process import (
     ddpm_forward_sample,
     ddpm_posterior_mean_simplified,
     ddpm_posterior_moments,
+    ddpm_posterior_variance,
     deterministic_prior_weight,
     make_eta,
     recover_x0,
@@ -44,6 +45,7 @@ __all__ = [
     "ddpm_forward_sample",
     "ddpm_posterior_mean_simplified",
     "ddpm_posterior_moments",
+    "ddpm_posterior_variance",
     "deterministic_prior_weight",
     "make_eta",
     "recover_x0",

@@ -60,10 +60,14 @@ class SmrConfig:
 
 @dataclass(frozen=True)
 class GaussianMoments:
-    """Mean array and scalar isotropic variance of a Gaussian."""
+    """Mean array and isotropic variance of a Gaussian, or of a batch of them.
+
+    For one step the variance is a Python float; for a (B, 1) column of steps
+    it is a (B, 1) column, one variance per row of the mean.
+    """
 
     mean: np.ndarray
-    variance: float
+    variance: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -96,15 +100,20 @@ def _check_eta(eta: float | np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
+def _as_variance(variance: float | np.ndarray) -> float | np.ndarray:
+    # one step keeps a Python float, a column of steps keeps its column
+    return float(variance) if np.ndim(variance) == 0 else variance
+
+
 def _check_same_shape(x0: np.ndarray, x_s: np.ndarray) -> None:
     if np.shape(x0) != np.shape(x_s):
         raise ConfigError(f"x0 shape {np.shape(x0)} != x_s shape {np.shape(x_s)}")
 
 
 def ddpm_forward_sample(
-    x0: np.ndarray, t: int, schedule: NoiseSchedule, eps: np.ndarray
+    x0: np.ndarray, t: int | np.ndarray, schedule: NoiseSchedule, eps: np.ndarray
 ) -> np.ndarray:
-    """Standard forward draw x_t = √ᾱ_t·x0 + √(1-ᾱ_t)·ε."""
+    """Standard forward draw x_t = √ᾱ_t·x0 + √(1-ᾱ_t)·ε; ``t`` may be a (B, 1) column."""
     schedule.check_step(t)
     ab = schedule.alpha_bars[t]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
@@ -155,21 +164,34 @@ def smr_forward_sample(
 
 
 def smr_marginal_moments(
-    x0: np.ndarray, x_s: np.ndarray, t: int, eta: float, schedule: NoiseSchedule
+    x0: np.ndarray,
+    x_s: np.ndarray,
+    t: int | np.ndarray,
+    eta: float | np.ndarray,
+    schedule: NoiseSchedule,
 ) -> GaussianMoments:
-    """Moments of x_t' given x0 and x_s: mean √ᾱ_t·x0 + √(1-ᾱ_t)√η·x_s, var (1+η)(1-ᾱ_t)."""
+    """Moments of x_t' given x0 and x_s: mean √ᾱ_t·x0 + √(1-ᾱ_t)√η·x_s, var (1+η)(1-ᾱ_t).
+
+    Like every step-indexed formula here, ``t`` and ``eta`` may be (B, 1)
+    columns against (B, D) rows; each row then equals the one-step call with
+    that row's step and strength, to the bit.
+    """
     schedule.check_step(t)
     eta = _check_eta(eta)
     _check_same_shape(x0, x_s)
     ab = schedule.alpha_bars[t]
-    mean = math.sqrt(ab) * np.asarray(x0, dtype=np.float64) + math.sqrt(1.0 - ab) * math.sqrt(
+    mean = np.sqrt(ab) * np.asarray(x0, dtype=np.float64) + np.sqrt(1.0 - ab) * np.sqrt(
         eta
     ) * np.asarray(x_s, dtype=np.float64)
-    return GaussianMoments(mean=mean, variance=(1.0 + eta) * (1.0 - ab))
+    return GaussianMoments(mean=mean, variance=_as_variance((1.0 + eta) * (1.0 - ab)))
 
 
 def smr_transition_moments(
-    x_prev: np.ndarray, x_s: np.ndarray, t: int, eta: float, schedule: NoiseSchedule
+    x_prev: np.ndarray,
+    x_s: np.ndarray,
+    t: int | np.ndarray,
+    eta: float | np.ndarray,
+    schedule: NoiseSchedule,
 ) -> GaussianMoments:
     """Moments of x_t' given x_{t-1}' and x_s, t ≥ 1.
 
@@ -182,20 +204,20 @@ def smr_transition_moments(
     alpha = schedule.alphas[t]
     ab = schedule.alpha_bars[t]
     ab_prev = schedule.alpha_bars[t - 1]
-    drift = (math.sqrt(1.0 - ab) - math.sqrt(alpha) * math.sqrt(1.0 - ab_prev)) * math.sqrt(eta)
-    mean = math.sqrt(alpha) * np.asarray(x_prev, dtype=np.float64) + drift * np.asarray(
+    drift = (np.sqrt(1.0 - ab) - np.sqrt(alpha) * np.sqrt(1.0 - ab_prev)) * np.sqrt(eta)
+    mean = np.sqrt(alpha) * np.asarray(x_prev, dtype=np.float64) + drift * np.asarray(
         x_s, dtype=np.float64
     )
     variance = (1.0 + alpha - 2.0 * ab) * eta + (1.0 - alpha)
-    return GaussianMoments(mean=mean, variance=float(variance))
+    return GaussianMoments(mean=mean, variance=_as_variance(variance))
 
 
 def smr_posterior_moments(
     x_t: np.ndarray,
     x0: np.ndarray,
     x_s: np.ndarray,
-    t: int,
-    eta: float,
+    t: int | np.ndarray,
+    eta: float | np.ndarray,
     schedule: NoiseSchedule,
 ) -> GaussianMoments:
     """Moments of x_{t-1}' given x_t', x0 and x_s, by Gaussian conjugacy.
@@ -215,7 +237,7 @@ def smr_posterior_moments(
     _check_same_shape(x0, x_s)
     _check_same_shape(x_t, np.asarray(x0))
 
-    a = math.sqrt(schedule.alphas[t])
+    a = np.sqrt(schedule.alphas[t])
     zero = np.zeros_like(x_t)
     likelihood = smr_transition_moments(zero, x_s, t, eta, schedule)
     b, s1 = likelihood.mean, likelihood.variance
@@ -225,27 +247,39 @@ def smr_posterior_moments(
     denom = a * a * s2 + s1
     mean = (a * (x_t - b) * s2 + m * s1) / denom
     variance = s1 * s2 / denom
-    return GaussianMoments(mean=mean, variance=float(variance))
+    return GaussianMoments(mean=mean, variance=_as_variance(variance))
 
 
-def ddpm_posterior_moments(
-    x_t: np.ndarray, x0: np.ndarray, t: int, schedule: NoiseSchedule
-) -> GaussianMoments:
-    """Standard posterior moments of x_{t-1} given x_t and x0, t ≥ 1."""
+def ddpm_posterior_variance(t: int | np.ndarray, schedule: NoiseSchedule) -> float | np.ndarray:
+    """Standard posterior variance (1-α_t)(1-ᾱ_{t-1})/(1-ᾱ_t), t ≥ 1.
+
+    The sampler scales its innovation noise by the square root of this value,
+    so the identity checks of ``ddpm_posterior_moments`` cover it too.
+    """
     schedule.check_step(t, lowest=1)
     alpha = schedule.alphas[t]
     ab = schedule.alpha_bars[t]
     ab_prev = schedule.alpha_bars[t - 1]
+    return _as_variance((1.0 - alpha) * (1.0 - ab_prev) / (1.0 - ab))
+
+
+def ddpm_posterior_moments(
+    x_t: np.ndarray, x0: np.ndarray, t: int | np.ndarray, schedule: NoiseSchedule
+) -> GaussianMoments:
+    """Standard posterior moments of x_{t-1} given x_t and x0, t ≥ 1."""
+    variance = ddpm_posterior_variance(t, schedule)
+    alpha = schedule.alphas[t]
+    ab = schedule.alpha_bars[t]
+    ab_prev = schedule.alpha_bars[t - 1]
     mean = (
-        math.sqrt(alpha) * (1.0 - ab_prev) * np.asarray(x_t, dtype=np.float64)
-        + math.sqrt(ab_prev) * (1.0 - alpha) * np.asarray(x0, dtype=np.float64)
+        np.sqrt(alpha) * (1.0 - ab_prev) * np.asarray(x_t, dtype=np.float64)
+        + np.sqrt(ab_prev) * (1.0 - alpha) * np.asarray(x0, dtype=np.float64)
     ) / (1.0 - ab)
-    variance = (1.0 - alpha) * (1.0 - ab_prev) / (1.0 - ab)
-    return GaussianMoments(mean=mean, variance=float(variance))
+    return GaussianMoments(mean=mean, variance=variance)
 
 
 def ddpm_posterior_mean_simplified(
-    x_t: np.ndarray, eps: np.ndarray, t: int, schedule: NoiseSchedule
+    x_t: np.ndarray, eps: np.ndarray, t: int | np.ndarray, schedule: NoiseSchedule
 ) -> np.ndarray:
     """Posterior mean written against the noise: (x_t - (1-α_t)/√(1-ᾱ_t)·ε)/√α_t.
 
@@ -257,7 +291,7 @@ def ddpm_posterior_mean_simplified(
     ab = schedule.alpha_bars[t]
     x_t = np.asarray(x_t, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    return (x_t - (1.0 - alpha) / math.sqrt(1.0 - ab) * eps) / math.sqrt(alpha)
+    return (x_t - (1.0 - alpha) / np.sqrt(1.0 - ab) * eps) / np.sqrt(alpha)
 
 
 def tau_target(eps: np.ndarray, x_s: np.ndarray, eta: float | np.ndarray) -> np.ndarray:
@@ -268,13 +302,15 @@ def tau_target(eps: np.ndarray, x_s: np.ndarray, eta: float | np.ndarray) -> np.
     ) * np.asarray(x_s, dtype=np.float64)
 
 
-def recover_x0(x_t: np.ndarray, tau: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
+def recover_x0(
+    x_t: np.ndarray, tau: np.ndarray, t: int | np.ndarray, schedule: NoiseSchedule
+) -> np.ndarray:
     """Invert the grouped forward form: x0 = (x_t' - √(1-ᾱ_t)·τ) / √ᾱ_t."""
     schedule.check_step(t)
     ab = schedule.alpha_bars[t]
     x_t = np.asarray(x_t, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
-    return (x_t - math.sqrt(1.0 - ab) * tau) / math.sqrt(ab)
+    return (x_t - np.sqrt(1.0 - ab) * tau) / np.sqrt(ab)
 
 
 def snr_trajectory(schedule: NoiseSchedule, eta_eff: float = 0.0) -> np.ndarray:

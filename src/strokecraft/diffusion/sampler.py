@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..errors import NumericalError
-from .process import ddpm_posterior_mean_simplified, recover_x0
+from .process import ddpm_posterior_mean_simplified, ddpm_posterior_variance, recover_x0
 from .schedule import NoiseSchedule
 
 
@@ -35,10 +35,7 @@ def ancestral_sample(
         tau_hat = model.predict(x, t)
         x = ddpm_posterior_mean_simplified(x, tau_hat, t, schedule)
         if inject_noise:
-            alpha = schedule.alphas[t]
-            ab = schedule.alpha_bars[t]
-            ab_prev = schedule.alpha_bars[t - 1]
-            sigma = math.sqrt((1.0 - alpha) * (1.0 - ab_prev) / (1.0 - ab))
+            sigma = math.sqrt(ddpm_posterior_variance(t, schedule))
             x = x + sigma * rng.standard_normal(x.shape)
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite sampler state after step {t}")

@@ -71,8 +71,8 @@ def train_diffusion(
             steps = np.empty(len(chunk), dtype=np.int64)
             etas = np.empty(len(chunk))
             noise = np.empty((len(chunk), 2, dim))
-            # each instance draws its step, then ε and ε* as one (2, dim) block,
-            # which is the stream of two dim-sized draws
+            # each instance draws its step, then ε and ε* straight into its
+            # (2, dim) row, which is the stream of two dim-sized draws
             for row, (_, _, eta) in enumerate(chunk):
                 t = int(rng.integers(0, num_steps))
                 if eta is None:
@@ -81,7 +81,7 @@ def train_diffusion(
                     )
                     eta = float(w) ** 2
                 steps[row], etas[row] = t, eta
-                noise[row] = rng.standard_normal((2, dim))
+                rng.standard_normal(out=noise[row])
             draw = smr_forward_sample(
                 flat[[i for i, _, _ in chunk]], flat[[j for _, j, _ in chunk]],
                 steps[:, None], etas[:, None], schedule, eps=noise[:, 0], eps_star=noise[:, 1],

@@ -27,6 +27,9 @@ from .schedule import NoiseSchedule
 
 # injection strengths of the grid checks
 ETAS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+# rows per formula call: steps in checks 1 and 4, draws in check 3, so memory
+# stays flat however many steps or draws a run asks for
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,18 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-    return float(np.max(np.abs(a - b) / scale))
+    return float(np.max(np.abs(a - b) / scale, initial=0.0))
+
+
+def _worst(errors: list[float]) -> float:
+    # np.max, unlike the builtin, lets a NaN error through to fail its check
+    return float(np.max(errors, initial=0.0))
+
+
+def _step_blocks(num_steps: int):
+    """(B, 1) columns of the steps 1 .. num_steps-1, at most BLOCK at a time."""
+    for start in range(1, num_steps, BLOCK):
+        yield np.arange(start, min(start + BLOCK, num_steps))[:, None]
 
 
 def verify_identities(
@@ -53,63 +67,83 @@ def verify_identities(
     rng: np.random.Generator,
     mc_draws: int = 200_000,
 ) -> list[IdentityCheck]:
-    """Run every identity check against ``schedule`` and report the results."""
+    """Run every identity check against ``schedule`` and report the results.
+
+    Checks 1 and 4 pass all steps to each formula as (B, 1) step columns, in
+    blocks of BLOCK steps, and draw each block's noise as one array, the same
+    stream as one draw per step.  Checks 2 and 6 pass the whole step × ETAS
+    grid as one column pair.  Check 3 draws its noise whole and the forward
+    draw BLOCK values at a time.  Check 5 stays a loop: each round draws an
+    integer, a uniform and normals in turn, so one batch of each kind would
+    read the stream in another order.
+    """
     checks = []
     num_steps = schedule.num_steps
 
     # 1. at eta = 0 the posterior collapses to the standard one, at every step
-    err = 0.0
+    errors = []
     x0 = rng.standard_normal(4)
     x_s = rng.standard_normal(4)
-    for t in range(1, num_steps):
-        x_t = rng.standard_normal(4)
-        got = smr_posterior_moments(x_t, x0, x_s, t, 0.0, schedule)
-        ref = ddpm_posterior_moments(x_t, x0, t, schedule)
-        err = max(err, _rel(got.mean, ref.mean), _rel(got.variance, ref.variance))
-    checks.append(IdentityCheck("zero_eta_posterior_reduction", err, 1e-9))
+    for t in _step_blocks(num_steps):
+        x_t = rng.standard_normal((t.shape[0], 4))
+        x0_b = np.broadcast_to(x0, x_t.shape)
+        got = smr_posterior_moments(x_t, x0_b, np.broadcast_to(x_s, x_t.shape), t, 0.0, schedule)
+        ref = ddpm_posterior_moments(x_t, x0_b, t, schedule)
+        errors += [_rel(got.mean, ref.mean), _rel(got.variance, ref.variance)]
+    checks.append(IdentityCheck("zero_eta_posterior_reduction", _worst(errors), 1e-9))
 
     # 2. conjugacy denominator a^2*s2 + s1 == 1 - ab_t + (1 + 2*alpha_t - 3*ab_t)*eta
-    err = 0.0
-    step_grid = range(1, num_steps, max(1, num_steps // 20))
-    for t in step_grid:
-        alpha = schedule.alphas[t]
-        ab = schedule.alpha_bars[t]
-        for eta in ETAS:
-            s1 = smr_transition_moments(np.zeros(1), np.zeros(1), t, eta, schedule).variance
-            s2 = smr_marginal_moments(np.zeros(1), np.zeros(1), t - 1, eta, schedule).variance
-            denom = alpha * s2 + s1
-            closed = 1.0 - ab + (1.0 + 2.0 * alpha - 3.0 * ab) * eta
-            err = max(err, _rel(denom, closed))
-    checks.append(IdentityCheck("posterior_denominator", err, 1e-12))
+    grid_steps = np.arange(1, num_steps, max(1, num_steps // 20))
+    grid_t = np.repeat(grid_steps, len(ETAS))[:, None]
+    grid_eta = np.tile(ETAS, len(grid_steps))[:, None]
+    zero = np.zeros(1)
+    alpha = schedule.alphas[grid_t]
+    ab = schedule.alpha_bars[grid_t]
+    s1 = smr_transition_moments(zero, zero, grid_t, grid_eta, schedule).variance
+    s2 = smr_marginal_moments(zero, zero, grid_t - 1, grid_eta, schedule).variance
+    denom = alpha * s2 + s1
+    closed = 1.0 - ab + (1.0 + 2.0 * alpha - 3.0 * ab) * grid_eta
+    checks.append(IdentityCheck("posterior_denominator", _rel(denom, closed), 1e-12))
 
     # 3. forward draw matches the stated marginal moments, by Monte Carlo
     t_mid = int(np.argmin(np.abs(schedule.alpha_bars - 0.5)))
     eta = 0.25
-    # constant inputs as read-only views: only the noise and x_t take mc_draws floats
-    x0_v = np.broadcast_to(1.0, (mc_draws,))
-    x_s_v = np.broadcast_to(2.0, (mc_draws,))
-    draw = smr_forward_sample(x0_v, x_s_v, t_mid, eta, schedule, rng=rng)
+    # ε, then ε*, as the draw itself would take them from rng; the draw runs a
+    # block at a time on read-only views of the constant inputs, so only the
+    # noise and x_t take mc_draws floats, and the noise goes before the moments
+    eps = rng.standard_normal(mc_draws)
+    eps_star = rng.standard_normal(mc_draws)
+    x0_v = np.broadcast_to(1.0, (BLOCK,))
+    x_s_v = np.broadcast_to(2.0, (BLOCK,))
+    x_t = np.empty(mc_draws)
+    for start in range(0, mc_draws, BLOCK):
+        rows = slice(start, min(start + BLOCK, mc_draws))
+        n = rows.stop - start
+        x_t[rows] = smr_forward_sample(x0_v[:n], x_s_v[:n], t_mid, eta, schedule,
+                                       eps=eps[rows], eps_star=eps_star[rows]).x_t
+    del eps, eps_star
     ref = smr_marginal_moments(np.float64(1.0), np.float64(2.0), t_mid, eta, schedule)
     sd = math.sqrt(ref.variance)
-    mean_err = abs(float(np.mean(draw.x_t)) - float(ref.mean))
+    mean_err = abs(float(np.mean(x_t)) - float(ref.mean))
     mean_tol = 4.0 * sd / math.sqrt(mc_draws)
-    var_err = abs(float(np.var(draw.x_t)) / ref.variance - 1.0)
+    var_err = abs(float(np.var(x_t)) / ref.variance - 1.0)
     var_tol = 4.0 * math.sqrt(2.0 / mc_draws)
     checks.append(IdentityCheck("marginal_mc_mean", mean_err, mean_tol))
     checks.append(IdentityCheck("marginal_mc_variance", var_err, var_tol))
 
     # 4. noise-form posterior mean equals the x0-form whenever the draw ties them
-    err = 0.0
-    for t in range(1, num_steps):
-        x0_t = rng.standard_normal(4)
-        eps = rng.standard_normal(4)
+    errors = []
+    for t in _step_blocks(num_steps):
+        noise = rng.standard_normal((t.shape[0], 2, 4))
+        x0_t, eps = noise[:, 0], noise[:, 1]
         x_t = ddpm_forward_sample(x0_t, t, schedule, eps)
         simp = ddpm_posterior_mean_simplified(x_t, eps, t, schedule)
         full = ddpm_posterior_moments(x_t, x0_t, t, schedule).mean
-        err = max(err, _rel(simp, full))
-    checks.append(IdentityCheck("posterior_mean_noise_form", err, 1e-9))
+        errors.append(_rel(simp, full))
+    checks.append(IdentityCheck("posterior_mean_noise_form", _worst(errors), 1e-9))
 
-    # 5. recovering x0 from the grouped target is exact
+    # 5. recovering x0 from the grouped target is exact; a loop, so the
+    # integer, uniform and normal draws of each round keep their order
     err = 0.0
     for _ in range(100):
         t = int(rng.integers(0, num_steps))
@@ -122,18 +156,15 @@ def verify_identities(
     checks.append(IdentityCheck("tau_round_trip", err, 1e-10))
 
     # 6. every stated variance stays positive on the grid
-    worst = np.inf
-    for t in step_grid:
-        for eta in ETAS:
-            worst = min(
-                worst,
-                smr_transition_moments(np.zeros(1), np.zeros(1), t, eta, schedule).variance,
-                smr_posterior_moments(
-                    np.zeros(1), np.zeros(1), np.zeros(1), t, eta, schedule
-                ).variance,
-                smr_marginal_moments(np.zeros(1), np.zeros(1), t, eta, schedule).variance,
-            )
-    checks.append(IdentityCheck("variance_positivity", 0.0 if worst > 0 else 1.0, 0.5))
+    positive = all(
+        np.all(variances > 0.0)
+        for variances in (
+            smr_transition_moments(zero, zero, grid_t, grid_eta, schedule).variance,
+            smr_posterior_moments(zero, zero, zero, grid_t, grid_eta, schedule).variance,
+            smr_marginal_moments(zero, zero, grid_t, grid_eta, schedule).variance,
+        )
+    )
+    checks.append(IdentityCheck("variance_positivity", 0.0 if positive else 1.0, 0.5))
 
     # 7. counting the prior as signal lifts the ratio by exactly eta_eff
     err = 0.0

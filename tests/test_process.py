@@ -18,6 +18,7 @@ from strokecraft.diffusion import (
     ddpm_forward_sample,
     ddpm_posterior_mean_simplified,
     ddpm_posterior_moments,
+    ddpm_posterior_variance,
     deterministic_prior_weight,
     make_eta,
     recover_x0,
@@ -357,3 +358,95 @@ class TestDeterministicPriorWeight:
             deterministic_prior_weight(64, 64, "linear", w_max=0.5)
         with pytest.raises(ConfigError):
             deterministic_prior_weight(0, 10, "spiral", w_max=0.5)
+
+
+# Every step-indexed formula as (lowest step, takes eta, call); ``x`` is a stack
+# of three equally shaped input arrays, and each call returns its outputs as a tuple.
+STEP_FORMULAS = {
+    "smr_marginal_moments": (0, True, lambda x, t, eta, s: _moments(
+        smr_marginal_moments(x[0], x[1], t, eta, s))),
+    "smr_transition_moments": (1, True, lambda x, t, eta, s: _moments(
+        smr_transition_moments(x[0], x[1], t, eta, s))),
+    "smr_posterior_moments": (1, True, lambda x, t, eta, s: _moments(
+        smr_posterior_moments(x[0], x[1], x[2], t, eta, s))),
+    "ddpm_posterior_moments": (1, False, lambda x, t, eta, s: _moments(
+        ddpm_posterior_moments(x[0], x[1], t, s))),
+    "ddpm_forward_sample": (0, False, lambda x, t, eta, s: (
+        ddpm_forward_sample(x[0], t, s, x[1]),)),
+    "ddpm_posterior_mean_simplified": (0, False, lambda x, t, eta, s: (
+        ddpm_posterior_mean_simplified(x[0], x[1], t, s),)),
+    "recover_x0": (0, False, lambda x, t, eta, s: (recover_x0(x[0], x[1], t, s),)),
+}
+MOMENT_FORMULAS = [name for name in STEP_FORMULAS if name.endswith("_moments")]
+
+
+def _moments(g):
+    return g.mean, g.variance
+
+
+class TestStepColumns:
+    """A (B, 1) column of steps, and of eta, is B one-step calls at once."""
+
+    NUM_STEPS = 1000
+
+    @pytest.mark.parametrize("name", STEP_FORMULAS)
+    @pytest.mark.parametrize("batch", [1, 7, 999])
+    def test_rows_equal_one_step_calls_bitwise(self, name, batch):
+        lowest, has_eta, call = STEP_FORMULAS[name]
+        s = build_schedule(self.NUM_STEPS)
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((3, batch, 5))
+        t = rng.integers(lowest, self.NUM_STEPS, size=(batch, 1))
+        t[0], t[-1] = self.NUM_STEPS - 1, lowest
+        eta = rng.uniform(0.0, 0.5, size=(batch, 1)) if has_eta else 0.0
+        if has_eta:
+            eta[-1] = 0.0
+        got = call(x, t, eta, s)
+        for b in range(batch):
+            one = call(x[:, b], int(t[b, 0]), float(eta[b, 0]) if has_eta else 0.0, s)
+            for column, single in zip(got, one):
+                assert np.asarray(column)[b].tobytes() == np.asarray(single).tobytes()
+
+    @pytest.mark.parametrize("name", MOMENT_FORMULAS)
+    def test_one_step_variance_is_a_python_float(self, name):
+        _, _, call = STEP_FORMULAS[name]
+        x = np.random.default_rng(0).standard_normal((3, 4))
+        _, variance = call(x, 5, 0.3, build_schedule(10))
+        assert type(variance) is float
+        _, column = call(x[:, None], np.array([[5], [6]]), np.array([[0.3], [0.0]]),
+                         build_schedule(10))
+        assert column.shape == (2, 1)
+
+    def test_posterior_variance_helper_matches_the_moments(self):
+        s = build_schedule(self.NUM_STEPS)
+        t = np.arange(1, self.NUM_STEPS)[:, None]
+        column = ddpm_posterior_variance(t, s)
+        assert column.shape == t.shape
+        assert type(ddpm_posterior_variance(7, s)) is float
+        zeros = np.zeros(1)
+        assert column.tobytes() == ddpm_posterior_moments(zeros, zeros, t, s).variance.tobytes()
+        for step in (1, 500, self.NUM_STEPS - 1):
+            assert ddpm_posterior_variance(step, s) == column[step - 1, 0]
+        with pytest.raises(ConfigError):
+            ddpm_posterior_variance(np.array([[1], [0]]), s)
+
+    @pytest.mark.parametrize("name", STEP_FORMULAS)
+    def test_bad_entry_in_a_column_is_refused(self, name):
+        lowest, has_eta, call = STEP_FORMULAS[name]
+        s = build_schedule(10)
+        x = np.zeros((3, 3, 2))
+        eta = np.full((3, 1), 0.1) if has_eta else 0.0
+        good = np.array([[lowest], [5], [9]])
+        call(x, good, eta, s)
+        bad_columns = [
+            np.array([[lowest - 1], [5], [9]]),
+            np.array([[lowest], [10], [9]]),
+            good.astype(np.float64),
+            np.array([[True], [True], [False]]),
+        ]
+        for bad in bad_columns:
+            with pytest.raises(ConfigError):
+                call(x, bad, eta, s)
+        if has_eta:
+            with pytest.raises(ConfigError):
+                call(x, good, np.array([[0.1], [-0.1], [0.1]]), s)
