@@ -43,6 +43,9 @@ _RETRY_LOSS = 3e-4
 _POLISH_LOSS = 2e-4
 _POLISH_ITERATIONS = 50
 
+# A stroke's RGB colour in a target's channels: itself, or its luma as one channel.
+_CHANNEL_MIX = {3: np.eye(3), 1: LUMA_WEIGHTS[:, None]}
+
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
@@ -56,23 +59,16 @@ class FitResult:
 
 
 def _batch_loss(zs, ranges, target, softness):
-    """MSE against ``target`` pixels for a batch of normalized parameter rows."""
+    """MSE against (H, W, C) ``target`` pixels for a batch of normalized parameter rows."""
     vectors = ranges.denormalize(zs)
-    cov = coverage_batch(vectors, target.shape[0], target.shape[1], FIT_SAMPLES, softness)
+    height, width, channels = target.shape
+    cov = coverage_batch(vectors, height, width, FIT_SAMPLES, softness)
+    color = vectors[:, 8:11] @ _CHANNEL_MIX[channels] / 255.0
     # one buffer updated in place: freeing several of this size per call let glibc
     # trim the heap and fault the pages in again, 7x the faults on some heap layouts
-    if target.ndim == 3 and target.shape[2] == 3:
-        color = vectors[:, 8:11, None, None] / 255.0
-        diff = cov[:, None] * (color - 1.0)
-        diff += 1.0
-        diff -= target.transpose(2, 0, 1)[None]
-    else:
-        flat = target if target.ndim == 2 else target[..., 0]
-        luma = vectors[:, 8:11] @ LUMA_WEIGHTS / 255.0
-        diff = cov * (luma[:, None, None] - 1.0)
-        diff += 1.0
-        diff -= flat[None]
-        diff = diff[:, None]
+    diff = cov[:, None] * (color[:, :, None, None] - 1.0)
+    diff += 1.0
+    diff -= target.transpose(2, 0, 1)[None]
     diff *= diff
     return np.mean(diff, axis=(1, 2, 3))
 
@@ -85,11 +81,8 @@ def _foreground(pixels):
 
 
 def _color_at_deepest(pixels, bg, ys, xs):
-    v = luminance(pixels)
-    deep = np.argmax(np.abs(v[ys, xs] - bg))
-    if pixels.ndim == 3 and pixels.shape[2] == 3:
-        return pixels[ys[deep], xs[deep]] * 255.0
-    return np.full(3, v[ys[deep], xs[deep]] * 255.0)
+    deep = np.argmax(np.abs(luminance(pixels)[ys, xs] - bg))
+    return np.broadcast_to(pixels[ys[deep], xs[deep]] * 255.0, 3)
 
 
 def _finish_guess(ranges, p0, p1, p2, p3, color, width):
@@ -202,29 +195,23 @@ def fit_stroke(target: Canvas, *, iterations: int = FIT_ITERATIONS) -> FitResult
     """Recover stroke parameters whose rendering matches ``target``.
 
     Coordinate-wise finite differences drive the descent; the loss is
-    blurred through a softness ladder and evaluated on a half-resolution
-    grid, while acceptance always scores the full-resolution render at
-    DEFAULT_SOFTNESS. A geodesic spine start is tried first and a
-    straight-chord start serves as fallback when the first stall is
-    above tolerance. The optimizer is deterministic.
+    blurred through a softness ladder and probed on a half-resolution grid
+    at every size (an odd side first gains one white row or column, the
+    background the loss renders over), while acceptance always scores the
+    full-resolution render at DEFAULT_SOFTNESS. A geodesic spine start is
+    tried first and a straight-chord start serves as fallback when the
+    first stall is above tolerance. The optimizer is deterministic.
     """
     if iterations < MIN_ITERATIONS:
         raise ConfigError("iterations must cover the softness ladder")
     pixels = target.pixels
-    side = max(pixels.shape[:2])
+    height, width = pixels.shape[:2]
+    side = max(height, width)
     ranges = ParamRanges.for_canvas(side)
-    coarse = pixels.shape[0] % 2 == 0 and pixels.shape[1] % 2 == 0
-    if coarse:
-        ch, cw = pixels.shape[0] // 2, pixels.shape[1] // 2
-        grad_target = pixels.reshape(ch, 2, cw, 2, -1).mean(axis=(1, 3))
-        if pixels.ndim == 2:
-            grad_target = grad_target[..., 0]
-        grad_ranges = ParamRanges.for_canvas(side // 2)
-        grad_scale = 0.5
-    else:
-        grad_target = pixels
-        grad_ranges = ranges
-        grad_scale = 1.0
+    padded = np.pad(pixels, ((0, height % 2), (0, width % 2), (0, 0)), constant_values=1.0)
+    grad_target = padded.reshape(padded.shape[0] // 2, 2, padded.shape[1] // 2, 2,
+                                 -1).mean(axis=(1, 3))
+    grad_ranges = ParamRanges.for_canvas(side / 2)
     per_stage = iterations // len(_SOFTNESS_LADDER)
     history: list[float] = []
 
@@ -236,7 +223,7 @@ def fit_stroke(target: Canvas, *, iterations: int = FIT_ITERATIONS) -> FitResult
         for rung in _SOFTNESS_LADDER:
             z, best, best_z = _descend(
                 z, grad_ranges, grad_target, ranges, pixels,
-                rung * DEFAULT_SOFTNESS * grad_scale, per_stage, best, best_z, history)
+                rung * DEFAULT_SOFTNESS * 0.5, per_stage, best, best_z, history)
         return best, best_z
 
     best, best_z = run(_spine_guess(pixels, ranges))
