@@ -11,7 +11,7 @@ from ..errors import ConfigError
 from ..metrics import DEFAULT_FOREGROUND_THRESHOLD, LUMA_WEIGHTS, foreground_mask, luminance
 from .canvas import Canvas
 from .model import PARAM_COUNT, BezierStroke, ParamRanges
-from .raster import DEFAULT_SOFTNESS, coverage_batch
+from .raster import DEFAULT_SOFTNESS, coverage_batch, unbuffered_rows
 
 FIT_SAMPLES = 24
 FIT_ITERATIONS = 300
@@ -58,19 +58,26 @@ class FitResult:
     history: np.ndarray
 
 
-def _batch_loss(zs, ranges, target, softness):
-    """MSE against (H, W, C) ``target`` pixels for a batch of normalized parameter rows."""
+def _planes(target):
+    """An (H, W, C) target as contiguous (C, H, W) channel planes."""
+    return np.ascontiguousarray(target.transpose(2, 0, 1))
+
+
+def _batch_loss(zs, ranges, planes, softness):
+    """MSE against (C, H, W) target ``planes`` for a batch of normalized parameter rows."""
     vectors = ranges.denormalize(zs)
-    height, width, channels = target.shape
+    channels, height, width = planes.shape
     cov = coverage_batch(vectors, height, width, FIT_SAMPLES, softness)
     color = vectors[:, 8:11] @ _CHANNEL_MIX[channels] / 255.0
     # one buffer updated in place: freeing several of this size per call let glibc
     # trim the heap and fault the pages in again, 7x the faults on some heap layouts
-    diff = cov[:, None] * (color[:, :, None, None] - 1.0)
-    diff += 1.0
-    diff -= target.transpose(2, 0, 1)[None]
-    diff *= diff
-    return np.mean(diff, axis=(1, 2, 3))
+    with unbuffered_rows():  # one colour per row and channel, one target per row
+        diff = cov[:, None] * (color[:, :, None, None] - 1.0)
+        diff += 1.0
+        diff -= planes
+        diff *= diff
+    # the sum and the division np.mean makes, without its wrappers
+    return np.add.reduce(diff, axis=(1, 2, 3)) / planes.size
 
 
 def _foreground(pixels):
@@ -163,27 +170,37 @@ def _spine_guess(pixels, ranges):
 def _descend(z, grad_ranges, grad_target, ranges, target, grad_softness,
              iterations, best, best_z, history,
              step_init=_STEP_INIT, step_max=_STEP_MAX):
-    """Sign-step descent with per-coordinate step adaptation on the free dims."""
+    """Sign-step descent with per-coordinate step adaptation on the free dims.
+
+    ``z`` lies in the unit box. Each iteration scores a plus and a minus probe
+    per free coordinate, both clipped to the box, in one (2F, 13) batch.
+    """
     n_free = len(_FREE_DIMS)
-    probes = np.eye(PARAM_COUNT)[_FREE_DIMS]
+    grad_planes, planes = _planes(grad_target), _planes(target)
+    probes = np.empty((2 * n_free, PARAM_COUNT))
+    # the probed entry of each row: row i moves free coordinate i % n_free
+    moved = (np.arange(2 * n_free), np.tile(_FREE_DIMS, 2))
     steps = np.full(n_free, step_init)
     prev_sign = np.zeros(n_free)
-    idx = np.arange(n_free)
     for _ in range(iterations):
-        plus = np.clip(z[None] + _FD_STEP * probes, 0.0, 1.0)
-        minus = np.clip(z[None] - _FD_STEP * probes, 0.0, 1.0)
-        losses = _batch_loss(np.concatenate([plus, minus]), grad_ranges, grad_target,
-                             grad_softness)
-        gaps = plus[idx, _FREE_DIMS] - minus[idx, _FREE_DIMS]
-        grad = (losses[:n_free] - losses[n_free:]) / np.where(gaps > 0, gaps, 1.0)
+        free = z[_FREE_DIMS]
+        # z + 0.02 > 0 and z - 0.02 < 1, so each side clips at one end only
+        plus = np.minimum(free + _FD_STEP, 1.0)
+        minus = np.maximum(free - _FD_STEP, 0.0)
+        probes[:] = z
+        probes[moved] = np.concatenate([plus, minus])
+        losses = _batch_loss(probes, grad_ranges, grad_planes, grad_softness)
+        grad = (losses[:n_free] - losses[n_free:]) / (plus - minus)
         sign = np.sign(grad)
-        flipped = prev_sign * sign < 0
+        trend = prev_sign * sign
+        flipped = trend < 0
         steps[flipped] = np.maximum(steps[flipped] * _STEP_SHRINK, _STEP_MIN)
-        held = prev_sign * sign > 0
+        held = trend > 0
         steps[held] = np.minimum(steps[held] * _STEP_GROW, step_max)
-        z[_FREE_DIMS] = np.clip(z[_FREE_DIMS] - np.where(flipped, 0.0, sign * steps), 0.0, 1.0)
-        prev_sign = np.where(flipped, 0.0, sign)
-        cur = float(_batch_loss(z[None], ranges, target, DEFAULT_SOFTNESS)[0])
+        sign[flipped] = 0.0  # a flipped coordinate holds still for one iteration
+        z[_FREE_DIMS] = np.minimum(np.maximum(free - sign * steps, 0.0), 1.0)
+        prev_sign = sign
+        cur = float(_batch_loss(z[None], ranges, planes, DEFAULT_SOFTNESS)[0])
         if cur < best:
             best = cur
             best_z = z.copy()
@@ -212,18 +229,20 @@ def fit_stroke(target: Canvas, *, iterations: int = FIT_ITERATIONS) -> FitResult
     grad_target = padded.reshape(padded.shape[0] // 2, 2, padded.shape[1] // 2, 2,
                                  -1).mean(axis=(1, 3))
     grad_ranges = ParamRanges.for_canvas(side / 2)
-    per_stage = iterations // len(_SOFTNESS_LADDER)
+    # the first iterations % 4 rungs take one iteration more, so all of them run
+    per_stage, extra = divmod(iterations, len(_SOFTNESS_LADDER))
     history: list[float] = []
 
     def run(z0):
         z = z0.copy()
         z[_OPACITY_DIM] = 1.0
-        best = float(_batch_loss(z[None], ranges, pixels, DEFAULT_SOFTNESS)[0])
+        best = float(_batch_loss(z[None], ranges, _planes(pixels), DEFAULT_SOFTNESS)[0])
         best_z = z.copy()
-        for rung in _SOFTNESS_LADDER:
+        for i, rung in enumerate(_SOFTNESS_LADDER):
             z, best, best_z = _descend(
                 z, grad_ranges, grad_target, ranges, pixels,
-                rung * DEFAULT_SOFTNESS * 0.5, per_stage, best, best_z, history)
+                rung * DEFAULT_SOFTNESS * 0.5, per_stage + (i < extra), best, best_z,
+                history)
         return best, best_z
 
     best, best_z = run(_spine_guess(pixels, ranges))

@@ -21,6 +21,17 @@ polygon (rows numbered by first occurrence) and applies each row's width,
 opacity and softness to it: fitting's finite-difference probes that move only
 colour or width share the geometry of the point they probe around.
 
+Ops that take one scalar per segment or per stroke run inside
+``unbuffered_rows``: their contiguous runs are one window of pixels, short
+enough that numpy would otherwise copy them through its ufunc buffer.
+
+Two per-grid constants are cached, read-only and bounded: the four Bernstein
+weight vectors of each polyline sample count (``_bernstein_weights``, eight
+counts at most) and the pixel-center views of each window (``_pixel_centers``,
+sixteen windows at most, least recently used dropped first, since every
+``compose_over`` window has its own). Both are what the plain expressions
+rebuilt on every call, so the bits do not change.
+
 ``compose_over`` rasterizes only the stroke's footprint window: the bounding
 box of the four control points (the cubic lies in their convex hull), grown by
 width/2 + DEFAULT_SOFTNESS * ln(1/TAIL) and clipped to the canvas.  Since
@@ -37,6 +48,10 @@ footprint window. Either way the result is the same to the bit.
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
+import math
 
 import numpy as np
 
@@ -57,35 +72,61 @@ TAIL = 1e-12
 # temporaries this size made page faults a third of stroke-fitting time.
 CHUNK_ELEMENTS = 2**17
 
+# numpy runs a ufunc through its buffer (8192 values by default) whenever an
+# operand's contiguous run is at most half of it: every op with one scalar per
+# segment or per stroke, whose runs are one window of pixels (256 values at
+# 16 x 16), paid about three times the unbuffered loop for the copies. Within
+# ``unbuffered_rows`` the buffer is the smallest numpy takes.
+ROW_BUFFER = 16
+
 # The distance field's two full-size temporaries, kept across calls.
 _scratch: list[np.ndarray] = []
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
 def _pixel_centers(height: int, width: int, origin: tuple[int, int]
                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel-center x and y coordinates as (1, 1, 1, W) and (1, 1, H, 1) views."""
     y0, x0 = origin
     xs = np.arange(x0, x0 + width, dtype=np.float64) + 0.5
     ys = np.arange(y0, y0 + height, dtype=np.float64) + 0.5
-    return xs, ys
+    return _read_only(xs[None, None, None, :], ys[None, None, :, None])
+
+
+@functools.lru_cache(maxsize=8)
+def _bernstein_weights(samples: int) -> tuple[np.ndarray, ...]:
+    """The four cubic Bernstein weights at ``samples`` parameters, (S,) each."""
+    u = np.linspace(0.0, 1.0, samples)
+    v = 1.0 - u
+    return _read_only(v**3, 3.0 * v**2 * u, 3.0 * v * u**2, u**3)
 
 
 def polyline_points(vectors: np.ndarray, samples: int) -> np.ndarray:
-    """Sample the cubics of a (B, 13) batch at ``samples`` parameters, (B, S, 2)."""
-    pts = vectors[:, :8].reshape(-1, 4, 2)
-    u = np.linspace(0.0, 1.0, samples)[None, :, None]
-    v = 1.0 - u
-    return (
-        v**3 * pts[:, None, 0]
-        + 3.0 * v**2 * u * pts[:, None, 1]
-        + 3.0 * v * u**2 * pts[:, None, 2]
-        + u**3 * pts[:, None, 3]
-    )
+    """Sample the cubics of a (B, 13) batch at ``samples`` parameters, (B, S, 2).
+
+    The sum runs over (B, 2, S) rows, whose samples are contiguous, and the
+    result is a C-ordered copy of its (B, S, 2) transpose, the layout
+    reductions over the samples see.
+    """
+    pts = vectors[:, :8].reshape(-1, 4, 2, 1)
+    w0, w1, w2, w3 = _bernstein_weights(samples)
+    points = w0 * pts[:, 0]
+    points += w1 * pts[:, 1]
+    points += w2 * pts[:, 2]
+    points += w3 * pts[:, 3]
+    return np.ascontiguousarray(points.transpose(0, 2, 1))
 
 
 def _scratch_pair(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Two arrays of ``shape``: views of the kept scratch buffers, or fresh
     arrays when they would hold more than CHUNK_ELEMENTS values."""
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     if size > CHUNK_ELEMENTS:
         return np.empty(shape), np.empty(shape)
     if not _scratch or not size <= _scratch[0].size <= CHUNK_ELEMENTS:
@@ -93,36 +134,58 @@ def _scratch_pair(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return tuple(buffer[:size].reshape(shape) for buffer in _scratch)
 
 
-def _squared_distances(a, seg, len2, xs, ys) -> np.ndarray:
+@contextlib.contextmanager
+def unbuffered_rows():
+    """Run the elementwise ufuncs of the block with a ROW_BUFFER-sized buffer.
+
+    Elementwise results do not depend on the buffer; a reduction's summation
+    order can, so no reduction runs inside. Leaving the block restores the
+    buffer size with the rest of numpy's error state.
+    """
+    with np.errstate():
+        np.setbufsize(ROW_BUFFER)
+        yield
+
+
+def _squared_distances(a, seg, len2, px, py) -> np.ndarray:
     """Squared distance from every pixel center to every segment, (B, S, H, W).
 
     Two full-size buffers carry every step in place: t, the clamped
-    projection parameter (later the y offset), and cx. The operations and
-    their order are those of the plain expression, so the bits are too.
-    The result may be a view of a kept scratch buffer, which the next call
-    overwrites.
+    projection parameter (later the y offset), and cx. Every value takes
+    the operations of the plain expression, so the bits are the same, with
+    two exact rewrites: the projection adds its products as y + x (IEEE
+    addition commutes), and each offset comes out negated, t * s - d0
+    rather than d0 - t * s (IEEE subtraction is antisymmetric), which its
+    square drops. The result may be a view of a kept scratch buffer, which
+    the next call overwrites.
     """
-    px = xs[None, None, None, :]
-    py = ys[None, None, :, None]
     dx0 = px - a[:, :, 0, None, None]
     dy0 = py - a[:, :, 1, None, None]
     sx = seg[:, :, 0, None, None]
     sy = seg[:, :, 1, None, None]
-    t, cx = _scratch_pair((a.shape[0], a.shape[1], len(ys), len(xs)))
-    np.add(dx0 * sx, dy0 * sy, out=t)
-    positive = len2[:, :, None, None] > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(t, len2[:, :, None, None], out=t)
-    if not positive.all():
-        np.copyto(t, 0.0, where=~positive)
-    np.clip(t, 0.0, 1.0, out=t)
-    np.multiply(t, sx, out=cx)
-    np.subtract(dx0, cx, out=cx)
-    np.multiply(t, sy, out=t)
-    np.subtract(dy0, t, out=t)
-    np.multiply(cx, cx, out=cx)
-    np.multiply(t, t, out=t)
-    return np.add(cx, t, out=cx)
+    t, cx = _scratch_pair((a.shape[0], a.shape[1], py.shape[2], px.shape[3]))
+    # one one-sided broadcast at a time: a copy then an in-place add is
+    # faster than one add that broadcasts both operands. These repeat one
+    # pixel row or column, which numpy's buffered loop handles faster.
+    np.copyto(t, dy0 * sy)
+    t += dx0 * sx
+    positive = len2 > 0.0  # False for NaN too, so that t is 0
+    with unbuffered_rows():  # one scalar per segment
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(t, len2[:, :, None, None], out=t)
+        if not positive.all():
+            np.copyto(t, 0.0, where=~positive[:, :, None, None])
+        np.clip(t, 0.0, 1.0, out=t)
+        np.copyto(cx, t)
+        # in place with the full operand first: numpy's faster loops
+        t *= sy
+        cx *= sx
+    t -= dy0
+    cx -= dx0
+    t *= t
+    cx *= cx
+    cx += t
+    return cx
 
 
 def distance_field_batch(poly: np.ndarray, height: int, width: int, *,
@@ -136,7 +199,7 @@ def distance_field_batch(poly: np.ndarray, height: int, width: int, *,
     a = poly[:, :-1]  # (B, S-1, 2)
     seg = poly[:, 1:] - a
     len2 = np.sum(seg * seg, axis=-1)  # (B, S-1)
-    xs, ys = _pixel_centers(height, width, origin)
+    px, py = _pixel_centers(height, width, tuple(origin))
     # Blocks of `rows` polylines times `chunk` segments keep every temporary
     # within max(CHUNK_ELEMENTS, H * W) values.
     pixels = max(1, height * width)
@@ -148,11 +211,11 @@ def distance_field_batch(poly: np.ndarray, height: int, width: int, *,
         d2 = field[block]
         for lo in range(0, a.shape[1], chunk):
             part = slice(lo, lo + chunk)
-            squared = _squared_distances(a[block, part], seg[block, part], len2[block, part], xs, ys)
+            squared = _squared_distances(a[block, part], seg[block, part], len2[block, part], px, py)
             if lo == 0:
-                np.min(squared, axis=1, out=d2)
+                np.minimum.reduce(squared, axis=1, out=d2)
             else:
-                np.minimum(d2, squared.min(axis=1), out=d2)
+                np.minimum(d2, np.minimum.reduce(squared, axis=1), out=d2)
     return np.sqrt(field, out=field)
 
 
@@ -182,12 +245,19 @@ def coverage_batch(
         first: dict[bytes, int] = {}
         shared = [first.setdefault(row.tobytes(), len(first)) for row in geometry]
         geometry = np.frombuffer(b"".join(first), dtype=np.float64).reshape(-1, 8)
-    dist = distance_field_batch(polyline_points(geometry, samples), height, width,
-                                origin=origin)[shared]
+    # a fresh array: the field itself, or the rows gathered from it
+    cov = distance_field_batch(polyline_points(geometry, samples), height, width,
+                               origin=origin)[shared]
     half_width = vectors[:, 12, None, None] / 2.0
     opacity = np.clip(vectors[:, 11, None, None], 0.0, 1.0)
-    z = (half_width - dist) / softness
-    return opacity / (1.0 + np.exp(-z))
+    # opacity / (1 + exp(-z)) with z = (half_width - dist) / softness, in place;
+    # dist - half_width is exactly -(half_width - dist), so -z keeps its bits
+    with unbuffered_rows():  # one width and opacity per row
+        np.subtract(cov, half_width, out=cov)
+        cov /= softness
+        np.exp(cov, out=cov)
+        cov += 1.0
+        return np.divide(opacity, cov, out=cov)
 
 
 def _stroke_channels(stroke: BezierStroke, channels: int) -> np.ndarray:

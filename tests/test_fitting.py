@@ -12,6 +12,7 @@ from strokecraft.strokes import (
     generate_visible_stroke,
     rasterize_stroke,
 )
+from strokecraft.strokes import fitting
 from strokecraft.strokes.fitting import _initial_guess, _spine_guess
 
 
@@ -79,3 +80,43 @@ def test_fit_recovers_rendered_strokes():
         iou = alpha_iou(alpha, rasterize_stroke(result.stroke, 32)[1])
         passes += iou >= 0.85
     assert passes >= 5
+
+
+def test_fit_through_the_retry_and_the_polish_is_unchanged():
+    # the spine start stalls above _RETRY_LOSS, the chord start runs too, and the
+    # better of the two stays above _POLISH_LOSS, so the 50-step polish runs
+    _, canvas, _ = generate_visible_stroke(np.random.default_rng(901), 32)
+    result = fit_stroke(canvas)
+    assert len(result.history) == 2 * 300 + 50
+    expected = [
+        "0x1.51a3f80360c0fp+4", "0x1.6a0abdfa4628cp+4", "0x1.079fda6420dc2p+3",
+        "0x1.ff8f3a5d981b4p+4", "0x1.cf9b662ba4b74p+1", "0x1.ccbaf32f2d9a7p+3",
+        "0x1.7560f8f1e1a82p+2", "0x1.87952b7adb225p+3", "0x1.c206ece797a97p+6",
+        "0x1.e778863478372p+6", "0x1.5417ea8837154p+7", "0x1.0000000000000p+0",
+        "0x1.6ff21d814d3bep+3",
+    ]
+    assert [float(v).hex() for v in result.stroke.vector] == expected
+    assert float(result.loss).hex() == "0x1.417d6f3aad05bp-10"
+
+
+@pytest.mark.parametrize("iterations", range(4, 12))
+def test_every_requested_iteration_runs(iterations, monkeypatch):
+    _, canvas, _ = generate_visible_stroke(np.random.default_rng(901), 32)
+    ladder = []
+    descend = fitting._descend
+
+    def spy(*args, **kwargs):
+        if "step_max" not in kwargs:  # a ladder rung, not the polish
+            ladder.append(args[6])
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_descend", spy)
+    result = fit_stroke(canvas, iterations=iterations)
+    per_start = len(fitting._SOFTNESS_LADDER)
+    starts = len(ladder) // per_start
+    assert starts in (1, 2) and len(ladder) == starts * per_start
+    base, extra = divmod(iterations, per_start)
+    assert ladder[:per_start] == [base + (rung < extra) for rung in range(per_start)]
+    assert ladder == ladder[:per_start] * starts
+    polish = len(result.history) - starts * iterations
+    assert polish in (0, fitting._POLISH_ITERATIONS)

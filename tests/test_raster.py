@@ -8,6 +8,10 @@ compositing to the bit inside the footprint window and within TAIL outside.
 The visible-stroke sampler's shortcuts rest on two facts checked here: a draw
 whose opacity is below 0.5 has no pixel at coverage 0.5, and a stroke and its
 opacity-maximised twin rendered in one call are bit-equal to two renders.
+The per-grid constants the rasterizer caches (Bernstein weights per sample
+count, pixel centers per window) must give the bits of the plain expression,
+never leak into a returned array, and stay bounded however many windows
+compositing asks for.
 """
 
 import numpy as np
@@ -384,6 +388,59 @@ class TestVisibleStrokeShortcuts:
                 pair = coverage_batch(np.stack([stroke.vector, twin.vector]), side, side)
                 np.testing.assert_array_equal(pair[0], rasterize_stroke(stroke, side)[1])
                 np.testing.assert_array_equal(pair[1], rasterize_stroke(twin, side)[1])
+
+
+def plain_polyline_points(vectors, samples):
+    """The Bernstein sum as one expression, its weights rebuilt on every call."""
+    pts = vectors[:, :8].reshape(-1, 4, 2)
+    u = np.linspace(0.0, 1.0, samples)[None, :, None]
+    v = 1.0 - u
+    return (
+        v**3 * pts[:, None, 0]
+        + 3.0 * v**2 * u * pts[:, None, 1]
+        + 3.0 * v * u**2 * pts[:, None, 2]
+        + u**3 * pts[:, None, 3]
+    )
+
+
+class TestCachedConstants:
+    @pytest.mark.parametrize("samples", [2, 9, 24, 64])
+    def test_polyline_points_equal_the_plain_expression(self, samples):
+        vectors = random_vectors(samples, 17, 40)
+        vectors[0, :8] = [-0.0, 0.0, 1e-300, -1e300, 5.5, -0.0, 3.25, 7.0]
+        expected = plain_polyline_points(vectors, samples)
+        for _ in range(2):  # a cold cache, then a warm one
+            got = polyline_points(vectors, samples)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+            assert not any(np.shares_memory(got, weight)
+                           for weight in raster._bernstein_weights(samples))
+            got[:] = np.nan  # the caller owns the array; the cache is untouched
+        np.testing.assert_array_equal(polyline_points(vectors, samples), expected)
+
+    def test_cached_constants_are_read_only(self):
+        arrays = [*raster._bernstein_weights(24), *raster._pixel_centers(16, 16, (0, 0))]
+        assert not any(array.flags.writeable for array in arrays)
+
+    def test_caches_stay_bounded_over_many_windows(self):
+        rng = np.random.default_rng(23)
+        side = 96
+        canvas = Canvas.white((side, side), channels=3)
+        windows = set()
+        for _ in range(200):
+            vector = random_vectors(int(rng.integers(2**31)), 1, side)[0]
+            vector[:8] = vector[:8] * rng.uniform(0.05, 0.4) + rng.uniform(0, side * 0.6)
+            stroke = BezierStroke(vector)
+            rows, cols = footprint_window(stroke.vector, side, side)
+            windows.add((rows.stop - rows.start, cols.stop - cols.start, rows.start, cols.start))
+            got = compose_over(canvas, stroke).pixels
+            np.testing.assert_array_equal(got[rows, cols],
+                                          full_canvas_compose(canvas, stroke)[rows, cols])
+        assert len(windows) > 150
+        for cache in (raster._pixel_centers, raster._bernstein_weights):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize <= 16
 
 
 def test_coverage_rejects_bad_samples_and_softness():
