@@ -21,7 +21,7 @@ polygon (rows numbered by first occurrence) and applies each row's width,
 opacity and softness to it: fitting's finite-difference probes that move only
 colour or width share the geometry of the point they probe around.
 
-Ops that take one scalar per segment or per stroke run inside
+The distance kernel's ops that take one scalar per segment run inside
 ``unbuffered_rows``: their contiguous runs are one window of pixels, short
 enough that numpy would otherwise copy them through its ufunc buffer.
 
@@ -73,9 +73,9 @@ TAIL = 1e-12
 CHUNK_ELEMENTS = 2**17
 
 # numpy runs a ufunc through its buffer (8192 values by default) whenever an
-# operand's contiguous run is at most half of it: every op with one scalar per
-# segment or per stroke, whose runs are one window of pixels (256 values at
-# 16 x 16), paid about three times the unbuffered loop for the copies. Within
+# operand's contiguous run is at most half of it: an op with one scalar per
+# segment, whose runs are one window of pixels (256 values at 16 x 16), paid
+# about three times the unbuffered loop for the copies. Within
 # ``unbuffered_rows`` the buffer is the smallest numpy takes.
 ROW_BUFFER = 16
 
@@ -170,10 +170,11 @@ def _squared_distances(a, seg, len2, px, py) -> np.ndarray:
     np.copyto(t, dy0 * sy)
     t += dx0 * sx
     positive = len2 > 0.0  # False for NaN too, so that t is 0
+    degenerate = not positive.all()
     with unbuffered_rows():  # one scalar per segment
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(t, len2[:, :, None, None], out=t)
-        if not positive.all():
+        if degenerate:
             np.copyto(t, 0.0, where=~positive[:, :, None, None])
         np.clip(t, 0.0, 1.0, out=t)
         np.copyto(cx, t)
@@ -252,12 +253,11 @@ def coverage_batch(
     opacity = np.clip(vectors[:, 11, None, None], 0.0, 1.0)
     # opacity / (1 + exp(-z)) with z = (half_width - dist) / softness, in place;
     # dist - half_width is exactly -(half_width - dist), so -z keeps its bits
-    with unbuffered_rows():  # one width and opacity per row
-        np.subtract(cov, half_width, out=cov)
-        cov /= softness
-        np.exp(cov, out=cov)
-        cov += 1.0
-        return np.divide(opacity, cov, out=cov)
+    np.subtract(cov, half_width, out=cov)
+    cov /= softness
+    np.exp(cov, out=cov)
+    cov += 1.0
+    return np.divide(opacity, cov, out=cov)
 
 
 def _stroke_channels(stroke: BezierStroke, channels: int) -> np.ndarray:
