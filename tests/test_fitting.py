@@ -9,10 +9,10 @@ from strokecraft.strokes import (
     Canvas,
     ParamRanges,
     fit_stroke,
+    fitting,
     generate_visible_stroke,
     rasterize_stroke,
 )
-from strokecraft.strokes import fitting
 from strokecraft.strokes.fitting import _initial_guess, _spine_guess
 
 

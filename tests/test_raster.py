@@ -443,6 +443,18 @@ class TestCachedConstants:
             assert info.currsize <= info.maxsize <= 16
 
 
+def test_unbuffered_rows_restore_the_buffer_size():
+    before = np.getbufsize()
+    with raster.unbuffered_rows():
+        assert np.getbufsize() == raster.ROW_BUFFER
+    assert np.getbufsize() == before
+    with pytest.raises(ZeroDivisionError), raster.unbuffered_rows():
+        1 / 0
+    assert np.getbufsize() == before
+    coverage_batch(random_vectors(12, 3, 8), 8, 8)
+    assert np.getbufsize() == before
+
+
 def test_coverage_rejects_bad_samples_and_softness():
     vectors = random_vectors(12, 2, 8)
     for samples, softness in [(1, 0.8), (24, 0.0), (24, -0.5)]:
