@@ -11,7 +11,7 @@ from ..errors import ConfigError
 from ..metrics import DEFAULT_FOREGROUND_THRESHOLD, LUMA_WEIGHTS, foreground_mask, luminance
 from .canvas import Canvas
 from .model import PARAM_COUNT, BezierStroke, ParamRanges
-from .raster import DEFAULT_SOFTNESS, coverage_batch, unbuffered_rows
+from .raster import DEFAULT_SOFTNESS, coverage_batch
 
 FIT_SAMPLES = 24
 FIT_ITERATIONS = 300
@@ -71,11 +71,10 @@ def _batch_loss(zs, ranges, planes, softness):
     color = vectors[:, 8:11] @ _CHANNEL_MIX[channels] / 255.0
     # one buffer updated in place: freeing several of this size per call let glibc
     # trim the heap and fault the pages in again, 7x the faults on some heap layouts
-    with unbuffered_rows():  # one colour per row and channel, one target per row
-        diff = cov[:, None] * (color[:, :, None, None] - 1.0)
-        diff += 1.0
-        diff -= planes
-        diff *= diff
+    diff = cov[:, None] * (color[:, :, None, None] - 1.0)
+    diff += 1.0
+    diff -= planes
+    diff *= diff
     # the sum and the division np.mean makes, without its wrappers
     return np.add.reduce(diff, axis=(1, 2, 3)) / planes.size
 

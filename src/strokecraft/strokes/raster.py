@@ -22,8 +22,7 @@ opacity and softness to it: fitting's finite-difference probes that move only
 colour or width share the geometry of the point they probe around.
 
 The distance kernel's ops that take one scalar per segment run inside
-``unbuffered_rows``: their contiguous runs are one window of pixels, short
-enough that numpy would otherwise copy them through its ufunc buffer.
+``_unbuffered_rows``, with a small ufunc buffer (``_ROW_BUFFER`` says why).
 
 Two per-grid constants are cached, read-only and bounded: the four Bernstein
 weight vectors of each polyline sample count (``_bernstein_weights``, eight
@@ -75,9 +74,9 @@ CHUNK_ELEMENTS = 2**17
 # numpy runs a ufunc through its buffer (8192 values by default) whenever an
 # operand's contiguous run is at most half of it: an op with one scalar per
 # segment, whose runs are one window of pixels (256 values at 16 x 16), paid
-# about three times the unbuffered loop for the copies. Within
-# ``unbuffered_rows`` the buffer is the smallest numpy takes.
-ROW_BUFFER = 16
+# about three times the unbuffered loop for the copies. ``_unbuffered_rows``
+# sets the buffer to 16 values (numpy takes only multiples of 16).
+_ROW_BUFFER = 16
 
 # The distance field's two full-size temporaries, kept across calls.
 _scratch: list[np.ndarray] = []
@@ -135,16 +134,18 @@ def _scratch_pair(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 @contextlib.contextmanager
-def unbuffered_rows():
-    """Run the elementwise ufuncs of the block with a ROW_BUFFER-sized buffer.
+def _unbuffered_rows():
+    """Run the elementwise ufuncs of the block with a _ROW_BUFFER-sized buffer.
 
     Elementwise results do not depend on the buffer; a reduction's summation
-    order can, so no reduction runs inside. Leaving the block restores the
-    buffer size with the rest of numpy's error state.
+    order can, so no reduction runs inside. Leaving the block, by an exception
+    too, restores the size it found.
     """
-    with np.errstate():
-        np.setbufsize(ROW_BUFFER)
+    old = np.setbufsize(_ROW_BUFFER)
+    try:
         yield
+    finally:
+        np.setbufsize(old)
 
 
 def _squared_distances(a, seg, len2, px, py) -> np.ndarray:
@@ -171,7 +172,7 @@ def _squared_distances(a, seg, len2, px, py) -> np.ndarray:
     t += dx0 * sx
     positive = len2 > 0.0  # False for NaN too, so that t is 0
     degenerate = not positive.all()
-    with unbuffered_rows():  # one scalar per segment
+    with _unbuffered_rows():  # one scalar per segment
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(t, len2[:, :, None, None], out=t)
         if degenerate:
