@@ -32,11 +32,15 @@ sixteen windows at most, least recently used dropped first, since every
 rebuilt on every call, so the bits do not change.
 
 ``compose_over`` rasterizes only the stroke's footprint window: the bounding
-box of the four control points (the cubic lies in their convex hull), grown by
-width/2 + DEFAULT_SOFTNESS * ln(1/TAIL) and clipped to the canvas.  Since
-sigmoid(z) < exp(z), every pixel outside the window would get coverage below
-opacity * TAIL, so leaving it untouched moves it by at most TAIL.  Pixels
-inside the window are bit-identical to a full-canvas rasterization.
+box of the DEFAULT_SAMPLES-point polyline that coverage is measured from (each
+of its segments lies in that box), grown by width/2 + DEFAULT_SOFTNESS *
+ln(1/TAIL) and clipped to the canvas.  That box can be much smaller than the
+control points' box, which the curve need not reach.  Since sigmoid(z) <
+exp(z), every pixel outside the window would get coverage below opacity *
+TAIL, so leaving it untouched moves it by at most TAIL.  Pixels inside the
+window are bit-identical to a full-canvas rasterization.  The blend fills one
+colour plane at a time, with the products and sums of the broadcast over all
+planes.
 
 Either public renderer takes the stroke's full-canvas coverage when the caller
 already has it. Stroke generation renders a draw and its opacity-maximised twin
@@ -178,10 +182,9 @@ def _squared_distances(a, seg, len2, px, py) -> np.ndarray:
         if degenerate:
             np.copyto(t, 0.0, where=~positive[:, :, None, None])
         np.clip(t, 0.0, 1.0, out=t)
-        np.copyto(cx, t)
-        # in place with the full operand first: numpy's faster loops
+        # the full operand first: numpy's faster loops
+        np.multiply(t, sx, out=cx)
         t *= sy
-        cx *= sx
     t -= dy0
     cx -= dx0
     t *= t
@@ -271,12 +274,15 @@ def _stroke_channels(stroke: BezierStroke, channels: int) -> np.ndarray:
 def footprint_window(vector: np.ndarray, height: int, width: int) -> tuple[slice, slice]:
     """Canvas rows and columns outside which coverage stays below opacity * TAIL.
 
-    A pixel center farther than width/2 + DEFAULT_SOFTNESS * ln(1/TAIL) from the
-    control-point box is at least that far from the cubic, so its sigmoid
-    argument is below ln(TAIL). The slices may be empty.
+    The window is the bounding box of the DEFAULT_SAMPLES-point polyline that
+    ``coverage_batch`` measures distances to, grown by width/2 +
+    DEFAULT_SOFTNESS * ln(1/TAIL). Every segment of that polyline lies inside
+    its points' box, so a pixel center outside the window is farther than the
+    margin from each segment, and its sigmoid argument is below ln(TAIL). The
+    slices may be empty.
     """
     vector = np.asarray(vector, dtype=np.float64)
-    points = vector[:8].reshape(4, 2)
+    points = polyline_points(vector[None, :], DEFAULT_SAMPLES)[0]
     margin = vector[12] / 2.0 + DEFAULT_SOFTNESS * np.log(1.0 / TAIL)
     lo = np.floor(points.min(axis=0) - margin)
     hi = np.ceil(points.max(axis=0) + margin)
@@ -286,9 +292,18 @@ def footprint_window(vector: np.ndarray, height: int, width: int) -> tuple[slice
 
 
 def _blend(pixels: np.ndarray, stroke: BezierStroke, alpha: np.ndarray) -> np.ndarray:
-    """``stroke`` at coverage ``alpha`` (H, W) over ``pixels`` (H, W, C)."""
-    alpha = alpha[:, :, None]
-    return alpha * _stroke_channels(stroke, pixels.shape[2]) + (1.0 - alpha) * pixels
+    """``stroke`` at coverage ``alpha`` (H, W) over ``pixels`` (H, W, C).
+
+    One colour plane at a time, alpha * c + (1 - alpha) * pixel: the products
+    and the sum of the (H, W, 1) x (C,) broadcast, without its short runs.
+    """
+    keep = 1.0 - alpha
+    out = np.empty(pixels.shape)
+    for c, value in enumerate(_stroke_channels(stroke, pixels.shape[2])):
+        plane = out[:, :, c]
+        np.multiply(alpha, value, out=plane)
+        plane += keep * pixels[:, :, c]
+    return out
 
 
 def compose_over(base: Canvas, stroke: BezierStroke, alpha: np.ndarray | None = None

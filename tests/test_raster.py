@@ -5,6 +5,9 @@ bit, also when calls of different shapes take turns with the kept scratch
 buffers, coverage of a batch whose rows share geometry must equal one call per
 row to the bit, and the windowed compositing must equal full-canvas
 compositing to the bit inside the footprint window and within TAIL outside.
+The window is the drawn polyline's grown box, so it sits inside the grown
+control-point box of a stroke whose control points overshoot its curve, and
+the colour planes blended one at a time carry the bits of the broadcast blend.
 The visible-stroke sampler's shortcuts rest on two facts checked here: a draw
 whose opacity is below 0.5 has no pixel at coverage 0.5, and a stroke and its
 opacity-maximised twin rendered in one call are bit-equal to two renders.
@@ -327,6 +330,90 @@ class TestFootprintWindow:
         assert got is not base and got.pixels is not base.pixels
         np.testing.assert_array_equal(got.pixels, base.pixels)
         assert np.abs(full_canvas_compose(base, stroke) - got.pixels).max() <= TAIL
+
+
+def control_box_window(vector, height, width):
+    """The footprint window as the grown box of the four control points."""
+    points = vector[:8].reshape(4, 2)
+    margin = vector[12] / 2.0 + raster.DEFAULT_SOFTNESS * np.log(1.0 / TAIL)
+    lo = np.floor(points.min(axis=0) - margin)
+    hi = np.ceil(points.max(axis=0) + margin)
+    return (slice(int(max(lo[1], 0)), int(min(hi[1], height))),
+            slice(int(max(lo[0], 0)), int(min(hi[0], width))))
+
+
+class TestDrawnPolylineWindow:
+    SIDE = 160
+    # control points that overshoot the curve: the S-curve's above and below
+    # it, the hook's to the right of it and below it
+    CURVES = {
+        "s-curve": [40.0, 80.0, 120.0, 20.0, 40.0, 140.0, 120.0, 80.0],
+        "hook": [30.0, 30.0, 130.0, 30.0, 130.0, 110.0, 60.0, 100.0],
+    }
+
+    # sub-pixel shifts, so that on each side some shift puts the window's last
+    # pixel center closer to the curve than the margin
+    @pytest.mark.parametrize("shift", [0.0, 0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_window_inside_the_control_box_keeps_the_tail_bound(self, name, shift, channels):
+        side = self.SIDE
+        vector = np.array([*self.CURVES[name], 200.0, 40.0, 90.0, 0.9, 4.0])
+        vector[:8] += shift
+        stroke = BezierStroke(vector)
+        rows, cols = footprint_window(vector, side, side)
+        box_rows, box_cols = control_box_window(vector, side, side)
+        assert box_rows.start <= rows.start < rows.stop <= box_rows.stop
+        assert box_cols.start <= cols.start < cols.stop <= box_cols.stop
+        assert (rows.stop - rows.start) * (cols.stop - cols.start) < (
+            (box_rows.stop - box_rows.start) * (box_cols.stop - box_cols.start))
+        if name == "s-curve":
+            assert box_rows.start < rows.start and rows.stop < box_rows.stop
+        else:
+            assert cols.stop < box_cols.stop and rows.stop < box_rows.stop
+
+        outside = np.ones((side, side), dtype=bool)
+        outside[rows, cols] = False
+        coverage = coverage_batch(vector[None], side, side)[0]
+        assert coverage[outside].max() < stroke.opacity * TAIL
+
+        base = Canvas(np.random.default_rng(channels).uniform(size=(side, side, channels)))
+        got = compose_over(base, stroke).pixels
+        np.testing.assert_array_equal(got[rows, cols], full_canvas_compose(base, stroke)[rows, cols])
+        np.testing.assert_array_equal(got[outside], base.pixels[outside])
+
+
+class TestPlaneBlend:
+    @staticmethod
+    def broadcast_blend(pixels, stroke, alpha):
+        """The blend as one (H, W, 1) x (C,) broadcast."""
+        alpha = alpha[:, :, None]
+        return alpha * raster._stroke_channels(stroke, pixels.shape[2]) + (1.0 - alpha) * pixels
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_bit_equal_to_the_broadcast_blend(self, channels):
+        rng = np.random.default_rng(70 + channels)
+        canvas = rng.uniform(size=(80, 96, channels))
+        coverage = rng.uniform(size=(80, 96))
+        coverage[::9] = 0.0
+        coverage[:, ::13] = 1.0
+        views = [(slice(None), slice(None)), (slice(1, None, 2), slice(None, None, 3))]
+        for _ in range(12):
+            top, left = rng.integers(0, 60), rng.integers(0, 70)
+            views.append((slice(top, top + rng.integers(1, 21)),
+                          slice(left, left + rng.integers(1, 27))))
+        for rows, cols in views:
+            stroke = BezierStroke(np.array([*rng.uniform(0, 30, 8), *rng.uniform(0, 255, 3),
+                                            rng.uniform(), 3.0]))
+            for pixels, alpha in [(canvas[rows, cols], coverage[rows, cols]),
+                                  (canvas[rows, cols].transpose(1, 0, 2), coverage[rows, cols].T),
+                                  (canvas[rows, cols, ::-1], coverage[rows, cols])]:
+                before = pixels.copy()
+                got = raster._blend(pixels, stroke, alpha)
+                expected = self.broadcast_blend(pixels, stroke, alpha)
+                assert got.shape == expected.shape
+                np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+                np.testing.assert_array_equal(pixels, before)
 
 
 class TestRenderedCoverage:
