@@ -61,10 +61,10 @@ def order_strokes(placed: list[PlacedStroke], threshold: float = 0.5) -> list[Pl
 
 
 def composite(base: Canvas, placed: list[PlacedStroke], *, threshold: float = 0.5) -> Canvas:
-    """Alpha-over fold of the kept strokes in drawing order."""
+    """Alpha-over fold of the kept strokes, in drawing order, into a copy of ``base``."""
     out = base.copy()
     for item in order_strokes(placed, threshold):
-        out = compose_over(out, item.stroke)
+        compose_over(out, item.stroke)
     return out
 
 

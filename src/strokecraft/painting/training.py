@@ -63,7 +63,7 @@ def make_scene(rng: np.random.Generator, side: int = DEFAULT_SCENE_SIDE, *,
     gts = []
     for index, (stroke, _, alpha) in enumerate(drawn, start=1):
         # the draw's full-canvas alpha, so the stroke is not rasterized again
-        target = compose_over(target, stroke, alpha)
+        compose_over(target, stroke, alpha)
         gts.append(ground_truth_from_stroke(stroke.vector, side, index))
     return Canvas.white((side, side), channels), target, gts
 

@@ -31,23 +31,25 @@ sixteen windows at most, least recently used dropped first, since every
 ``compose_over`` window has its own). Both are what the plain expressions
 rebuilt on every call, so the bits do not change.
 
-``compose_over`` rasterizes only the stroke's footprint window: the bounding
-box of the DEFAULT_SAMPLES-point polyline that coverage is measured from (each
-of its segments lies in that box), grown by width/2 + DEFAULT_SOFTNESS *
-ln(1/TAIL) and clipped to the canvas.  That box can be much smaller than the
-control points' box, which the curve need not reach.  Since sigmoid(z) <
-exp(z), every pixel outside the window would get coverage below opacity *
-TAIL, so leaving it untouched moves it by at most TAIL.  Pixels inside the
-window are bit-identical to a full-canvas rasterization.  The blend fills one
-colour plane at a time, with the products and sums of the broadcast over all
-planes.
+``compose_over`` paints into the canvas it is given, and returns it, only
+inside the stroke's footprint window: the bounding box of the
+DEFAULT_SAMPLES-point polyline that coverage is measured from (each of its
+segments lies in that box), grown by width/2 + DEFAULT_SOFTNESS * ln(1/TAIL)
+and clipped to the canvas.  That box can be much smaller than the control
+points' box, which the curve need not reach.  Since sigmoid(z) < exp(z),
+every pixel outside the window would get coverage below opacity * TAIL, so
+leaving it untouched moves it by at most TAIL.  Pixels inside the window are
+bit-identical to a full-canvas rasterization; no canvas is copied.
 
-Either public renderer takes the stroke's full-canvas coverage when the caller
-already has it. Stroke generation renders a draw and its opacity-maximised twin
-in one ``coverage_batch`` call (they share a control polygon, so one field), and
-``rasterize_stroke`` blends the draw's coverage over white; a training scene
-passes each draw's coverage to ``compose_over``, which slices it to the
-footprint window. Either way the result is the same to the bit.
+Both public renderers paint through one in-place blend, ``_blend``, one colour
+plane at a time with the products and sums of the broadcast over all planes:
+``compose_over`` into the window, ``rasterize_stroke`` into a fresh white
+canvas.  Either takes the stroke's full-canvas coverage when the caller already
+has it. Stroke generation renders a draw and its opacity-maximised twin in one
+``coverage_batch`` call (they share a control polygon, so one field), and
+``rasterize_stroke`` blends the draw's coverage; a training scene passes each
+draw's coverage to ``compose_over``, which slices it to the footprint window.
+Either way the result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -291,40 +293,37 @@ def footprint_window(vector: np.ndarray, height: int, width: int) -> tuple[slice
     return rows, cols
 
 
-def _blend(pixels: np.ndarray, stroke: BezierStroke, alpha: np.ndarray) -> np.ndarray:
-    """``stroke`` at coverage ``alpha`` (H, W) over ``pixels`` (H, W, C).
+def _blend(pixels: np.ndarray, stroke: BezierStroke, alpha: np.ndarray) -> None:
+    """Paint ``stroke`` at coverage ``alpha`` (H, W) into the view ``pixels`` (H, W, C).
 
-    One colour plane at a time, alpha * c + (1 - alpha) * pixel: the products
-    and the sum of the (H, W, 1) x (C,) broadcast, without its short runs.
+    One colour plane at a time, in place, pixel * (1 - alpha) plus alpha * c:
+    the products and the sum of the (H, W, 1) x (C,) broadcast (IEEE addition
+    commutes), without its short runs.
     """
     keep = 1.0 - alpha
-    out = np.empty(pixels.shape)
     for c, value in enumerate(_stroke_channels(stroke, pixels.shape[2])):
-        plane = out[:, :, c]
-        np.multiply(alpha, value, out=plane)
-        plane += keep * pixels[:, :, c]
-    return out
+        plane = pixels[:, :, c]
+        plane *= keep
+        plane += alpha * value
 
 
-def compose_over(base: Canvas, stroke: BezierStroke, alpha: np.ndarray | None = None
+def compose_over(canvas: Canvas, stroke: BezierStroke, alpha: np.ndarray | None = None
                  ) -> Canvas:
-    """Alpha-composite one stroke over a canvas; returns a new canvas.
+    """Alpha-composite one stroke into ``canvas`` in place; returns ``canvas``.
 
-    Only the footprint window is composited; every other pixel would move
-    by at most TAIL and is copied unchanged. Given the stroke's full-canvas
-    coverage ``alpha``, the window is sliced from it instead of rasterized.
+    Only the footprint window is painted; every other pixel would move by at
+    most TAIL and is left as it is. Given the stroke's full-canvas coverage
+    ``alpha``, the window is sliced from it instead of rasterized.
     """
-    rows, cols = footprint_window(stroke.vector, base.height, base.width)
-    out = base.copy()
-    if rows.start >= rows.stop or cols.start >= cols.stop:
-        return out
-    if alpha is None:
-        window = coverage_batch(stroke.vector[None, :], rows.stop - rows.start,
-                                cols.stop - cols.start, origin=(rows.start, cols.start))[0]
-    else:
-        window = alpha[rows, cols]
-    out.pixels[rows, cols] = _blend(out.pixels[rows, cols], stroke, window)
-    return out
+    rows, cols = footprint_window(stroke.vector, canvas.height, canvas.width)
+    if rows.start < rows.stop and cols.start < cols.stop:
+        if alpha is None:
+            window = coverage_batch(stroke.vector[None, :], rows.stop - rows.start,
+                                    cols.stop - cols.start, origin=(rows.start, cols.start))[0]
+        else:
+            window = alpha[rows, cols]
+        _blend(canvas.pixels[rows, cols], stroke, window)
+    return canvas
 
 
 def rasterize_stroke(stroke: BezierStroke, shape, channels: int = 3,
@@ -333,9 +332,8 @@ def rasterize_stroke(stroke: BezierStroke, shape, channels: int = 3,
 
     Given the stroke's coverage ``alpha``, that is blended, not rasterized again.
     """
-    if np.isscalar(shape):
-        shape = (int(shape), int(shape))
+    canvas = Canvas.white(shape, channels)
     if alpha is None:
-        height, width = shape
-        alpha = coverage_batch(stroke.vector[None, :], height, width)[0]
-    return Canvas(_blend(Canvas.white(shape, channels).pixels, stroke, alpha)), alpha
+        alpha = coverage_batch(stroke.vector[None, :], canvas.height, canvas.width)[0]
+    _blend(canvas.pixels, stroke, alpha)
+    return canvas, alpha

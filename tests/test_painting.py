@@ -802,6 +802,7 @@ class TestCompositing:
         ab = composite(base, [self.as_placed(a, 0.2), self.as_placed(b, 0.8)])
         ba = composite(base, [self.as_placed(a, 0.8), self.as_placed(b, 0.2)])
         np.testing.assert_allclose(ab.pixels, ba.pixels, atol=1e-9)
+        np.testing.assert_array_equal(base.pixels, Canvas.white(32).pixels)
 
     def test_overlapping_opaque_strokes_do_not_commute(self):
         a = self.thin_stroke(4.0, 16.0, 28.0, 16.0, [255, 0, 0], width=6.0)
@@ -905,7 +906,9 @@ class TestLayeredPaint:
     def test_padding_crops_back_to_the_target_shape(self):
         predictor = StrokePredictor.create(np.random.default_rng(25))
         target = Canvas(np.random.default_rng(26).uniform(size=(48, 40, 3)))
+        before = target.pixels.copy()
         result = layered_paint(target, predictor, 2)
+        np.testing.assert_array_equal(target.pixels, before)
         assert result.padded_to == 64
         assert result.final.height == 48 and result.final.width == 40
 

@@ -4,7 +4,8 @@ The tiled distance field must equal a single pass over all segments to the
 bit, also when calls of different shapes take turns with the kept scratch
 buffers, coverage of a batch whose rows share geometry must equal one call per
 row to the bit, and the windowed compositing must equal full-canvas
-compositing to the bit inside the footprint window and within TAIL outside.
+compositing to the bit inside the footprint window and within TAIL outside,
+painting into the canvas it is given with no whole-canvas copy.
 The window is the drawn polyline's grown box, so it sits inside the grown
 control-point box of a stroke whose control points overshoot its curve, and
 the colour planes blended one at a time carry the bits of the broadcast blend.
@@ -18,6 +19,7 @@ compositing asks for.
 """
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,15 +323,39 @@ class TestFootprintWindow:
             np.testing.assert_array_equal(got[rows, cols], reference[rows, cols])
             assert np.abs(got - reference).max() <= TAIL
 
-    def test_off_canvas_stroke_returns_an_unchanged_copy(self):
+    def test_off_canvas_stroke_leaves_the_canvas_unchanged(self):
         base = Canvas(np.full((40, 40, 3), 0.5))
         stroke = self.make([150.0, 150.0, 160.0, 155.0, 170.0, 150.0, 180.0, 160.0])
         rows, cols = footprint_window(stroke.vector, 40, 40)
         assert rows.start >= rows.stop and cols.start >= cols.stop
+        before = base.pixels.copy()
+        reference = full_canvas_compose(base, stroke)
         got = compose_over(base, stroke)
-        assert got is not base and got.pixels is not base.pixels
-        np.testing.assert_array_equal(got.pixels, base.pixels)
-        assert np.abs(full_canvas_compose(base, stroke) - got.pixels).max() <= TAIL
+        assert got is base
+        np.testing.assert_array_equal(got.pixels, before)
+        assert np.abs(reference - got.pixels).max() <= TAIL
+
+    def test_paints_into_the_given_canvas_without_copying_it(self):
+        side = 512
+        base = Canvas(np.random.default_rng(512).uniform(size=(side, side, 3)))
+        stroke = self.make([250.0, 250.0, 254.0, 252.0, 258.0, 251.0, 262.0, 255.0], width=3.0)
+        rows, cols = footprint_window(stroke.vector, side, side)
+        outside = np.ones((side, side), dtype=bool)
+        outside[rows, cols] = False
+        assert outside.mean() > 0.95
+        compose_over(base, stroke)  # warms the scratch buffers and the caches
+        before = base.pixels.copy()
+        reference = full_canvas_compose(base, stroke)
+        tracemalloc.start()
+        try:
+            got = compose_over(base, stroke)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is base
+        np.testing.assert_array_equal(got.pixels[outside], before[outside])
+        np.testing.assert_array_equal(got.pixels[rows, cols], reference[rows, cols])
+        assert peak < base.pixels.nbytes / 10
 
 
 def control_box_window(vector, height, width):
@@ -378,9 +404,10 @@ class TestDrawnPolylineWindow:
         assert coverage[outside].max() < stroke.opacity * TAIL
 
         base = Canvas(np.random.default_rng(channels).uniform(size=(side, side, channels)))
+        reference, before = full_canvas_compose(base, stroke), base.pixels.copy()
         got = compose_over(base, stroke).pixels
-        np.testing.assert_array_equal(got[rows, cols], full_canvas_compose(base, stroke)[rows, cols])
-        np.testing.assert_array_equal(got[outside], base.pixels[outside])
+        np.testing.assert_array_equal(got[rows, cols], reference[rows, cols])
+        np.testing.assert_array_equal(got[outside], before[outside])
 
 
 class TestPlaneBlend:
@@ -408,12 +435,9 @@ class TestPlaneBlend:
             for pixels, alpha in [(canvas[rows, cols], coverage[rows, cols]),
                                   (canvas[rows, cols].transpose(1, 0, 2), coverage[rows, cols].T),
                                   (canvas[rows, cols, ::-1], coverage[rows, cols])]:
-                before = pixels.copy()
-                got = raster._blend(pixels, stroke, alpha)
                 expected = self.broadcast_blend(pixels, stroke, alpha)
-                assert got.shape == expected.shape
-                np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-                np.testing.assert_array_equal(pixels, before)
+                assert raster._blend(pixels, stroke, alpha) is None
+                np.testing.assert_array_equal(pixels.view(np.int64), expected.view(np.int64))
 
 
 class TestRenderedCoverage:
@@ -430,9 +454,10 @@ class TestRenderedCoverage:
         for vector in vectors:
             stroke = BezierStroke(vector)
             alpha = coverage_batch(vector[None], side, side)[0]
-            got = compose_over(base, stroke, alpha)
-            assert got.pixels is not base.pixels
-            np.testing.assert_array_equal(got.pixels, compose_over(base, stroke).pixels)
+            canvas = base.copy()
+            got = compose_over(canvas, stroke, alpha)
+            assert got is canvas
+            np.testing.assert_array_equal(got.pixels, compose_over(base.copy(), stroke).pixels)
             base = got
 
     @pytest.mark.parametrize("channels", [1, 3])
@@ -523,9 +548,9 @@ class TestCachedConstants:
             stroke = BezierStroke(vector)
             rows, cols = footprint_window(stroke.vector, side, side)
             windows.add((rows.stop - rows.start, cols.stop - cols.start, rows.start, cols.start))
+            reference = full_canvas_compose(canvas, stroke)
             got = compose_over(canvas, stroke).pixels
-            np.testing.assert_array_equal(got[rows, cols],
-                                          full_canvas_compose(canvas, stroke)[rows, cols])
+            np.testing.assert_array_equal(got[rows, cols], reference[rows, cols])
         assert len(windows) > 150
         for cache in (raster._pixel_centers, raster._bernstein_weights):
             info = cache.cache_info()
