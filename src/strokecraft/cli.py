@@ -36,7 +36,7 @@ from .errors import ConfigError, DataIOError, NumericalError, StrokecraftError, 
 from .manifest import RunManifest
 from .metrics import DEFAULT_FOREGROUND_THRESHOLD, connected_regions, mse
 from .painting import MatchConfig, StrokePredictor, layered_paint, scene_source, train_predictor
-from .pixmap import quantize, read_pixmap, write_pixmap
+from .pixmap import SUFFIX_BY_CHANNELS, quantize, read_pixmap, write_pixmap
 from .strokes.canvas import Canvas
 from .strokes.fitting import FIT_ITERATIONS, MIN_ITERATIONS, fit_stroke
 from .strokes.generate import MIN_CORE_PIXELS, generate_visible_stroke
@@ -90,6 +90,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     files.write_bytes(path, text.getvalue().encode("utf-8"))
 
 
+def _write_epoch_csv(path: Path, column: str, values: list[float]) -> None:
+    _write_csv(path, ["epoch", column], [[e, _float_cell(v)] for e, v in enumerate(values)])
+
+
 def _float_cell(value: float) -> str:
     return repr(float(value))
 
@@ -107,7 +111,7 @@ def _save_manifest(command: str, config: dict, out: Path, outputs: dict) -> RunM
 def _list_pixmaps(directory: Path) -> list[Path]:
     if not directory.is_dir():
         raise DataIOError(f"{directory} is not a directory")
-    pixmaps = sorted(p for p in directory.iterdir() if p.suffix in (".pgm", ".ppm"))
+    pixmaps = sorted(p for p in directory.iterdir() if p.suffix in SUFFIX_BY_CHANNELS.values())
     if not pixmaps:
         raise DataIOError(f"no pixmaps found in {directory}")
     return pixmaps
@@ -144,7 +148,7 @@ def run_gen_data(config: dict) -> RunManifest:
     side = config["canvas_size"]
     rng = np.random.default_rng(config["seed"])
     channels = 1 if config["gray"] else 3
-    suffix = ".pgm" if channels == 1 else ".ppm"
+    suffix = SUFFIX_BY_CHANNELS[channels]
     # every draw comes before the first write, so a failed draw leaves no partial dataset
     drawn = [_draw_augmented(rng, side, channels, config) for _ in range(config["count"])]
     out = _out_dir(config)
@@ -196,8 +200,7 @@ def run_train_diffusion(config: dict) -> RunManifest:
                              batch_size=config["batch_size"], lr=config["lr"])
     out = _out_dir(config)
     result.denoiser.save(out / "denoiser.ckpt")
-    _write_csv(out / "loss_history.csv", ["epoch", "mean_loss"],
-               [[e, _float_cell(v)] for e, v in enumerate(result.loss_history)])
+    _write_epoch_csv(out / "loss_history.csv", "mean_loss", result.loss_history)
     print(f"trained {config['epochs']} epochs: "
           f"loss {result.loss_history[0]:.4f} -> {result.loss_history[-1]:.4f}")
     return _save_manifest("train-diffusion", config, out,
@@ -217,7 +220,7 @@ def run_sample(config: dict) -> RunManifest:
     rng = np.random.default_rng(config["seed"])
     flat = ancestral_sample(denoiser, schedule, config["count"], dim, rng,
                             inject_noise=not config["no_noise"])
-    suffix = ".pgm" if channels == 1 else ".ppm"
+    suffix = SUFFIX_BY_CHANNELS[channels]
     out = _out_dir(config)
     outputs = {}
     for i, row in enumerate(flat):
@@ -235,7 +238,7 @@ def run_fit_stroke(config: dict) -> RunManifest:
     save_strokes(out / "fitted.json", [result.stroke])
     render, _ = rasterize_stroke(result.stroke, (target.height, target.width),
                                  channels=target.channels)
-    render_name = "render" + (".pgm" if target.channels == 1 else ".ppm")
+    render_name = "render" + SUFFIX_BY_CHANNELS[target.channels]
     write_pixmap(out / render_name, render)
     print(f"fit loss {result.loss:.6f} after {config['iterations']} iterations")
     return _save_manifest("fit-stroke", config, out,
@@ -261,10 +264,8 @@ def run_train_predictor(config: dict) -> RunManifest:
                              holdout_scenes=config["holdout_scenes"], lr=config["lr"])
     out = _out_dir(config)
     result.predictor.save(out / "predictor.ckpt")
-    _write_csv(out / "loss_history.csv", ["epoch", "mean_loss"],
-               [[e, _float_cell(v)] for e, v in enumerate(result.loss_history)])
-    _write_csv(out / "rank_error.csv", ["epoch", "rank_error"],
-               [[e, _float_cell(v)] for e, v in enumerate(result.rank_error_history)])
+    _write_epoch_csv(out / "loss_history.csv", "mean_loss", result.loss_history)
+    _write_epoch_csv(out / "rank_error.csv", "rank_error", result.rank_error_history)
     print(f"trained {config['epochs']} epochs: "
           f"loss {result.loss_history[0]:.3f} -> {result.loss_history[-1]:.3f}, "
           f"holdout rank error {result.rank_error_history[-1]:.3f}")
@@ -279,7 +280,7 @@ def run_paint(config: dict) -> RunManifest:
     predictor = StrokePredictor.load(config["predictor"])
     result = layered_paint(target, predictor, config["layers"],
                            threshold=config["threshold"])
-    suffix = ".pgm" if target.channels == 1 else ".ppm"
+    suffix = SUFFIX_BY_CHANNELS[target.channels]
     outputs = {"final": f"final{suffix}", "strokes": "strokes.json"}
     out = _out_dir(config)
     write_pixmap(out / f"final{suffix}", result.final.clipped())
@@ -291,8 +292,8 @@ def run_paint(config: dict) -> RunManifest:
         {
             "c_p": [float(v) for v in placed.prediction.params],
             "shift": [placed.prediction.x_shift, placed.prediction.y_shift],
-            "scr_r": placed.scr_r,
-            "d": placed.d,
+            "scr_r": placed.prediction.scr_r,
+            "d": placed.prediction.d,
             "layer": placed.layer,
             "patch": [placed.patch_row, placed.patch_col],
         }
@@ -324,7 +325,11 @@ def run_metrics(config: dict) -> RunManifest:
         if ref_dir is not None:
             ref_path = ref_dir / path.name
             if ref_path.exists():
-                paired = _float_cell(mse(canvas.pixels, read_pixmap(ref_path).pixels))
+                ref = read_pixmap(ref_path)
+                if ref.pixels.shape != canvas.pixels.shape:
+                    raise DataIOError(f"{path} has shape {canvas.pixels.shape}, its reference "
+                                      f"{ref_path} {ref.pixels.shape}")
+                paired = _float_cell(mse(canvas.pixels, ref.pixels))
         rows.append([path.stem, crd.region_count, _float_cell(crd.area_ratio), paired])
     out = _out_dir(config)
     _write_csv(out / "metrics.csv",

@@ -26,14 +26,6 @@ class PlacedStroke:
     patch_col: int = 0
     slot: int = 0
 
-    @property
-    def scr_r(self) -> float:
-        return self.prediction.scr_r
-
-    @property
-    def d(self) -> float:
-        return self.prediction.d
-
 
 def realize_stroke(prediction: StrokePrediction, patch_side: float,
                    origin: tuple[float, float] = (0.0, 0.0)) -> BezierStroke:
@@ -56,16 +48,20 @@ def order_strokes(placed: list[PlacedStroke], threshold: float = 0.5) -> list[Pl
     The sort is stable, so equal scores keep the incoming order; callers
     list strokes in patch raster order and slot order to fix ties.
     """
-    kept = [p for p in placed if p.d >= threshold]
-    return sorted(kept, key=lambda p: p.scr_r)
+    kept = [p for p in placed if p.prediction.d >= threshold]
+    return sorted(kept, key=lambda p: p.prediction.scr_r)
 
 
-def composite(base: Canvas, placed: list[PlacedStroke], *, threshold: float = 0.5) -> Canvas:
-    """Alpha-over fold of the kept strokes, in drawing order, into a copy of ``base``."""
-    out = base.copy()
-    for item in order_strokes(placed, threshold):
-        compose_over(out, item.stroke)
-    return out
+def composite(canvas: Canvas, placed: list[PlacedStroke], *,
+              threshold: float = 0.5) -> list[PlacedStroke]:
+    """Alpha-over fold of the kept strokes into ``canvas``, in place.
+
+    Returns the kept strokes in the drawing order they were painted in.
+    """
+    kept = order_strokes(placed, threshold)
+    for item in kept:
+        compose_over(canvas, item.stroke)
+    return kept
 
 
 def place_predictions(predictions: list[StrokePrediction], patch_side: float,
@@ -171,8 +167,7 @@ def layered_paint(target: Canvas, predictor: StrokePredictor, layers: int, *,
                     preds, patch, origin=(col * patch, row * patch),
                     layer=layer, patch=(row, col),
                 ))
-        current = composite(current, placed, threshold=threshold)
-        result.strokes.extend(order_strokes(placed, threshold))
+        result.strokes.extend(composite(current, placed, threshold=threshold))
         cropped = Canvas(current.pixels[: target.height, : target.width].copy())
         result.intermediates.append(cropped)
         result.layer_mse.append(mse(cropped.pixels, target.pixels))

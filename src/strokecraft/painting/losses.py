@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, inf
 
 import numpy as np
@@ -37,11 +38,6 @@ class MatchConfig:
         if self.max_strokes < 1:
             raise ConfigError(f"max_strokes must be at least 1, got {self.max_strokes}")
 
-    @property
-    def lambda_m(self) -> tuple[float, float, float]:
-        """The matching weight vector (L1, cosine, presence)."""
-        return (self.lambda_l1, self.lambda_cos, self.lambda_presence)
-
 
 def p_minus_scale(side: float) -> np.ndarray:
     """Divisors taking the 13 stroke parameters to P-minus scale.
@@ -54,11 +50,17 @@ def p_minus_scale(side: float) -> np.ndarray:
     return scale
 
 
-def p_minus(params: np.ndarray, x_shift: float, y_shift: float, side: float) -> np.ndarray:
-    """Scale-comparable (c_p, x_shift, y_shift) vector; the shifts are already normalized."""
+def _stroke_params(params) -> np.ndarray:
+    """The 13 stroke parameters as a float64 vector; any other shape is refused."""
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (PARAM_COUNT,):
         raise ConfigError(f"expected {PARAM_COUNT} stroke parameters, got {params.shape}")
+    return params
+
+
+def p_minus(params: np.ndarray, x_shift: float, y_shift: float, side: float) -> np.ndarray:
+    """Scale-comparable (c_p, x_shift, y_shift) vector; the shifts are already normalized."""
+    params = _stroke_params(params)
     if side <= 0:
         raise ConfigError(f"canvas side must be positive, got {side}")
     return np.concatenate([params / p_minus_scale(side), [float(x_shift), float(y_shift)]])
@@ -80,10 +82,7 @@ class StrokePrediction:
     d: float
 
     def __post_init__(self) -> None:
-        params = np.asarray(self.params, dtype=np.float64)
-        if params.shape != (PARAM_COUNT,):
-            raise ConfigError(f"expected {PARAM_COUNT} stroke parameters, got {params.shape}")
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", _stroke_params(self.params))
         if not 0.0 < self.scr_r < 1.0:
             raise ConfigError(f"ranking score must lie strictly in (0, 1), got {self.scr_r}")
         if not 0.0 <= self.d <= 1.0:
@@ -100,10 +99,7 @@ class GroundTruthStroke:
     order_index: int
 
     def __post_init__(self) -> None:
-        params = np.asarray(self.params, dtype=np.float64)
-        if params.shape != (PARAM_COUNT,):
-            raise ConfigError(f"expected {PARAM_COUNT} stroke parameters, got {params.shape}")
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", _stroke_params(self.params))
         if self.order_index < 1 or self.order_index != int(self.order_index):
             raise ConfigError(f"order index must be a positive integer, got {self.order_index}")
 
@@ -224,15 +220,6 @@ def _match_costs(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
     return pred_p, pred_d, gt_p, clamped, dot, gt_norm, pred_norm, nonzero, cost
 
 
-def _assign(cost: np.ndarray) -> np.ndarray:
-    """Matched column per row of a cost matrix with no more rows than columns."""
-    assignment = np.empty(cost.shape[0], dtype=np.int64)
-    if len(assignment):
-        rows, cols = hungarian_assignment(cost)
-        assignment[rows] = cols
-    return assignment
-
-
 def match_assignment(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
                      cfg: MatchConfig) -> np.ndarray:
     """The matched prediction index per ground-truth row, as matching_loss gives it.
@@ -240,7 +227,7 @@ def match_assignment(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
     Takes the same inputs, checks them the same way, and computes the
     same cost matrix, but neither the loss nor its gradients.
     """
-    return _assign(_match_costs(pred_p, pred_d, gt_p, cfg)[-1])
+    return hungarian_assignment(_match_costs(pred_p, pred_d, gt_p, cfg)[-1])[1]
 
 
 def matching_loss(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
@@ -256,7 +243,8 @@ def matching_loss(pred_p: np.ndarray, pred_d: np.ndarray, gt_p: np.ndarray,
         pred_p, pred_d, gt_p, cfg)
     m = pred_p.shape[0]
     n = gt_p.shape[0]
-    assignment = _assign(cost)
+    # _match_costs refuses more rows than columns, so the rows come back as 0..n-1
+    assignment = hungarian_assignment(cost)[1]
     pair = (np.arange(n), assignment)
     matched = np.zeros(m, dtype=bool)
     matched[assignment] = True
@@ -296,16 +284,14 @@ def ranking_loss(scr: np.ndarray, order: np.ndarray,
     if len(np.unique(order)) != n:
         raise ConfigError("order indices must be distinct")
     pairs = comb(n, 2)
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if order[i] < order[j]:
-                hinge = scr[i] - scr[j] + (order[j] - order[i]) * margin
-                if hinge > 0:
-                    total += hinge
-                    grad[i] += 1.0 / pairs
-                    grad[j] -= 1.0 / pairs
-    return total / pairs, grad
+    # the pairs in the row-major order of a double loop over (i, j), with its running
+    # sum (sum() compensates from Python 3.12 on) and, per element, its += and -= sequence
+    earlier, later = np.nonzero(order[:, None] < order)
+    hinge = scr[earlier] - scr[later] + (order[later] - order[earlier]) * margin
+    hit = hinge > 0
+    interleaved = np.stack((earlier[hit], later[hit]), axis=1).ravel()
+    np.add.at(grad, interleaved, np.tile([1.0 / pairs, -1.0 / pairs], np.count_nonzero(hit)))
+    return reduce(float.__add__, hinge[hit].tolist(), 0.0) / pairs, grad
 
 
 def total_predictor_loss(pred_p: np.ndarray, pred_d: np.ndarray, pred_scr: np.ndarray,
@@ -319,11 +305,8 @@ def total_predictor_loss(pred_p: np.ndarray, pred_d: np.ndarray, pred_scr: np.nd
     """
     pred_scr = np.asarray(pred_scr, dtype=np.float64)
     match, grad_p, grad_d, assignment = matching_loss(pred_p, pred_d, gt_p, cfg)
+    rank, rank_grad = ranking_loss(pred_scr[assignment], gt_order, cfg.margin)
     grad_scr = np.zeros_like(pred_scr)
-    rank = 0.0
-    if len(assignment) >= 2:
-        gt_order = np.asarray(gt_order, dtype=np.float64)
-        rank, rank_grad = ranking_loss(pred_scr[assignment], gt_order, cfg.margin)
-        grad_scr[assignment] = cfg.lambda_rank * rank_grad
+    grad_scr[assignment] = cfg.lambda_rank * rank_grad
     loss = match + cfg.lambda_rank * rank
     return float(loss), grad_p, grad_d, grad_scr, assignment

@@ -43,13 +43,6 @@ def _param_shapes(arch: dict) -> list[tuple[int, ...]]:
     ]
 
 
-def _p_minus_affine(side: float) -> tuple[np.ndarray, np.ndarray]:
-    """Slope and intercept taking range-normalized parameters to P-minus scale."""
-    ranges = ParamRanges.for_canvas(side)
-    scale = p_minus_scale(side)
-    return ranges.span / scale, ranges.lo / scale
-
-
 @dataclass
 class StrokePredictor:
     """Fixed-budget set predictor with a flat parameter vector."""
@@ -175,9 +168,12 @@ def _match_inputs(u: np.ndarray, gts: list, side: float,
     Returns (P-minus slot vectors, presence confidences, P-minus
     ground-truth stack, the slope taking normalized parameters to P-minus).
     """
-    slope, intercept = _p_minus_affine(side)
+    ranges = ParamRanges.for_canvas(side)
+    scale = p_minus_scale(side)
+    slope = ranges.span / scale
     pred_p = np.concatenate(
-        [intercept + slope * u[:, :PARAM_COUNT], u[:, PARAM_COUNT:PARAM_COUNT + 2]], axis=1
+        [ranges.lo / scale + slope * u[:, :PARAM_COUNT], u[:, PARAM_COUNT:PARAM_COUNT + 2]],
+        axis=1,
     )
     gt_p = np.array([g.p_minus(side) for g in gts]).reshape(len(gts), pred_p.shape[1])
     return pred_p, u[:, PARAM_COUNT + 3], gt_p, slope
@@ -188,21 +184,20 @@ def forward_assignment(predictor: StrokePredictor, current: Canvas, target: Canv
     """One forward pass and the matching, without the loss or its gradient.
 
     Returns (slot outputs u, matched prediction index per ground truth),
-    the same bits as forward_loss gives them.
+    the same bits as the forward pass and loss_and_grad give them.
     """
     u, _ = predictor._forward(predictor._stack(current, target))
     pred_p, pred_d, gt_p, _ = _match_inputs(u, gts, float(predictor.arch["input_side"]))
     return u, match_assignment(pred_p, pred_d, gt_p, cfg)
 
 
-def forward_loss(predictor: StrokePredictor, current: Canvas, target: Canvas,
-                 gts: list, cfg: MatchConfig,
-                 ) -> tuple[np.ndarray, dict, float, np.ndarray, np.ndarray]:
-    """One forward pass, the matching-plus-ranking loss and its gradient in the slots.
+def loss_and_grad(predictor: StrokePredictor, current: Canvas, target: Canvas,
+                  gts: list, cfg: MatchConfig,
+                  ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Total matching-plus-ranking loss and its gradient in the weights.
 
-    Returns (slot outputs u, forward cache, loss, d loss/d u, matched
-    prediction index per ground truth); the ranking score of slot j is
-    u[j, PARAM_COUNT + 2].
+    Returns (loss, flat gradient, matched prediction index per ground
+    truth).
     """
     u, cache = predictor._forward(predictor._stack(current, target))
     pred_p, pred_d, gt_p, slope = _match_inputs(u, gts, float(predictor.arch["input_side"]))
@@ -215,16 +210,4 @@ def forward_loss(predictor: StrokePredictor, current: Canvas, target: Canvas,
     grad_u[:, PARAM_COUNT:PARAM_COUNT + 2] = grad_p[:, PARAM_COUNT:]
     grad_u[:, PARAM_COUNT + 2] = grad_scr
     grad_u[:, PARAM_COUNT + 3] = grad_d
-    return u, cache, loss, grad_u, assignment
-
-
-def loss_and_grad(predictor: StrokePredictor, current: Canvas, target: Canvas,
-                  gts: list, cfg: MatchConfig,
-                  ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Total matching-plus-ranking loss and its gradient in the weights.
-
-    Returns (loss, flat gradient, matched prediction index per ground
-    truth); see forward_loss.
-    """
-    _, cache, loss, grad_u, assignment = forward_loss(predictor, current, target, gts, cfg)
     return loss, predictor._backward(grad_u, cache), assignment

@@ -13,6 +13,7 @@ from .errors import DataIOError
 from .strokes.canvas import Canvas
 
 MAGIC_BY_CHANNELS = {1: b"P5", 3: b"P6"}
+SUFFIX_BY_CHANNELS = {1: ".pgm", 3: ".ppm"}
 CHANNELS_BY_MAGIC = {b"P5": 1, b"P6": 3}
 
 

@@ -355,7 +355,8 @@ class TestTrainPredictorAndPaint:
         for entry, placed in zip(listing, expected.strokes):
             assert entry["c_p"] == [float(v) for v in placed.prediction.params]
             assert entry["shift"] == [placed.prediction.x_shift, placed.prediction.y_shift]
-            assert entry["scr_r"] == placed.scr_r
+            assert entry["scr_r"] == placed.prediction.scr_r
+            assert entry["d"] == placed.prediction.d
             assert entry["layer"] == placed.layer
             assert entry["patch"] == [placed.patch_row, placed.patch_col]
         intermediates = sorted(out.glob("layer_*.ppm"))
@@ -493,6 +494,19 @@ class TestMetrics:
         ref_path = tmp_path / "absent" if ref == "absent" else workspace / ref
         assert main(["metrics", "--images", str(workspace / "data"), "--ref", str(ref_path),
                      "--out", str(tmp_path / "met")]) == 3
+        assert not (tmp_path / "met").exists()
+
+    def test_same_named_reference_of_another_size_is_an_io_error(self, workspace, tmp_path,
+                                                                  capsys):
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        image = workspace / "data" / "stroke_000.ppm"
+        write_pixmap(ref / image.name, Canvas.white(24))
+        assert main(["metrics", "--images", str(workspace / "data"), "--ref", str(ref),
+                     "--out", str(tmp_path / "met")]) == 3
+        err = capsys.readouterr().err
+        assert str(image) in err and str(ref / image.name) in err
+        assert "Traceback" not in err
         assert not (tmp_path / "met").exists()
 
     def test_header_field_of_5000_digits_is_an_io_error(self, tmp_path, capsys):

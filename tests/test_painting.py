@@ -195,9 +195,30 @@ def scalar_rank_error(scr, order):
     return bad / pairs
 
 
+def scalar_ranking_loss(scr, order, margin):
+    """ranking_loss as a double loop over the ordered pairs."""
+    scr = np.asarray(scr, dtype=np.float64)
+    order = np.asarray(order, dtype=np.float64)
+    n = len(scr)
+    grad = np.zeros_like(scr)
+    if n < 2:
+        return 0.0, grad
+    pairs = comb(n, 2)
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if order[i] < order[j]:
+                hinge = scr[i] - scr[j] + (order[j] - order[i]) * margin
+                if hinge > 0:
+                    total += hinge
+                    grad[i] += 1.0 / pairs
+                    grad[j] -= 1.0 / pairs
+    return total / pairs, grad
+
+
 class TestMatchConfig:
     def test_defaults(self):
-        assert CFG.lambda_m == (5.0, 10.0, 10.0)
+        assert (CFG.lambda_l1, CFG.lambda_cos, CFG.lambda_presence) == (5.0, 10.0, 10.0)
         assert CFG.lambda_rank == 5.0
         assert CFG.margin == 0.125
         assert CFG.max_strokes == 8
@@ -606,6 +627,25 @@ class TestRankingLoss:
                 assert grad[k] == pytest.approx(fd, abs=1e-6)
             checked += 1
 
+    def test_matches_the_scalar_double_loop_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        margins = (0.125, 0.01, 0.3, 1.0)
+        for case in range(12_000):
+            n = int(rng.integers(0, 9))
+            if case % 3 == 0:  # tied scores
+                scr = rng.choice([0.1, 0.25, 0.5, 0.7], n)
+            else:
+                scr = rng.uniform(size=n)
+            if case % 2:
+                order = rng.permutation(n) + 1
+            else:
+                order = rng.choice(50, n, replace=False) + 1
+            margin = margins[case % len(margins)]
+            loss, grad = ranking_loss(scr, order, margin)
+            expected, expected_grad = scalar_ranking_loss(scr, order, margin)
+            assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+            assert grad.tobytes() == expected_grad.tobytes()
+
     def test_rejects_duplicate_orders_and_bad_shapes(self):
         with pytest.raises(ConfigError):
             ranking_loss([0.1, 0.2], [1, 1], 0.125)
@@ -778,7 +818,7 @@ class TestRealizeAndOrder:
                   + place_predictions([pred(0.5, 0.8), pred(0.1, 1.0)], 8.0, patch=(0, 1)))
         ordered = order_strokes(placed)
         assert [(p.patch_col, p.slot) for p in ordered] == [(1, 1), (0, 1), (1, 0), (0, 0)]
-        assert all(p.d >= 0.5 for p in ordered)
+        assert all(p.prediction.d >= 0.5 for p in ordered)
 
 
 class TestCompositing:
@@ -798,18 +838,21 @@ class TestCompositing:
     def test_disjoint_strokes_commute(self):
         a = self.thin_stroke(4.0, 4.0, 10.0, 4.0, [255, 0, 0])
         b = self.thin_stroke(4.0, 28.0, 10.0, 28.0, [0, 0, 255])
-        base = Canvas.white(32)
-        ab = composite(base, [self.as_placed(a, 0.2), self.as_placed(b, 0.8)])
-        ba = composite(base, [self.as_placed(a, 0.8), self.as_placed(b, 0.2)])
+        ab, ba = Canvas.white(32), Canvas.white(32)
+        first, second = self.as_placed(a, 0.2), self.as_placed(b, 0.8)
+        # composite paints into the canvas it is given and returns the strokes in drawing order
+        assert composite(ab, [first, second]) == [first, second]
+        later, earlier = self.as_placed(a, 0.8), self.as_placed(b, 0.2)
+        assert composite(ba, [later, earlier]) == [earlier, later]
         np.testing.assert_allclose(ab.pixels, ba.pixels, atol=1e-9)
-        np.testing.assert_array_equal(base.pixels, Canvas.white(32).pixels)
+        assert np.any(ab.pixels != Canvas.white(32).pixels)
 
     def test_overlapping_opaque_strokes_do_not_commute(self):
         a = self.thin_stroke(4.0, 16.0, 28.0, 16.0, [255, 0, 0], width=6.0)
         b = self.thin_stroke(16.0, 4.0, 16.0, 28.0, [0, 0, 255], width=6.0)
-        base = Canvas.white(32)
-        ab = composite(base, [self.as_placed(a, 0.2), self.as_placed(b, 0.8)])
-        ba = composite(base, [self.as_placed(a, 0.8), self.as_placed(b, 0.2)])
+        ab, ba = Canvas.white(32), Canvas.white(32)
+        composite(ab, [self.as_placed(a, 0.2), self.as_placed(b, 0.8)])
+        composite(ba, [self.as_placed(a, 0.8), self.as_placed(b, 0.2)])
         assert np.max(np.abs(ab.pixels - ba.pixels)) > 0.1
 
     def test_presence_threshold_drops_strokes(self):
@@ -818,7 +861,8 @@ class TestCompositing:
         weak = place_predictions([StrokePrediction(
             params=placed.prediction.params, x_shift=placed.prediction.x_shift,
             y_shift=placed.prediction.y_shift, scr_r=0.5, d=0.4)], 32.0)
-        out = composite(Canvas.white(32), weak)
+        out = Canvas.white(32)
+        assert composite(out, weak) == []
         np.testing.assert_array_equal(out.pixels, Canvas.white(32).pixels)
 
     def test_ground_truth_order_reproduces_the_target(self):
@@ -828,7 +872,8 @@ class TestCompositing:
             pred = StrokePrediction(params=gt.params, x_shift=gt.x_shift,
                                     y_shift=gt.y_shift, scr_r=0.1 + 0.2 * i, d=1.0)
             placed.append(place_predictions([pred], 16.0)[0])
-        out = composite(Canvas.white(16), placed)
+        out = Canvas.white(16)
+        composite(out, placed)
         np.testing.assert_allclose(out.pixels, target.pixels, atol=1e-12)
 
 
@@ -885,8 +930,10 @@ class TestLayeredPaint:
         _, target, _ = make_scene(np.random.default_rng(22), 32, min_strokes=2, max_strokes=3)
         result = layered_paint(target, predictor, 1)
         preds = predict_strokes(predictor, Canvas.white(32), target)
-        manual = composite(Canvas.white(32), place_predictions(preds, 32.0))
+        manual = Canvas.white(32)
+        kept = composite(manual, place_predictions(preds, 32.0))
         np.testing.assert_array_equal(result.final.pixels, manual.pixels)
+        assert [p.slot for p in result.strokes] == [p.slot for p in kept]
         assert len(result.intermediates) == 1
         assert result.padded_to == 32
 
@@ -1101,7 +1148,7 @@ class TestTraining:
         assert np.isnan(_holdout_rank_error(small_predictor(), [], MatchConfig(max_strokes=3)))
 
     def test_holdout_rank_error_equals_a_transcription_through_the_loss(self):
-        from strokecraft.painting.predictor import forward_assignment, forward_loss
+        from strokecraft.painting.predictor import forward_assignment
         from strokecraft.painting.training import _holdout_rank_error
 
         cfg = MatchConfig(max_strokes=5)
@@ -1113,7 +1160,8 @@ class TestTraining:
         for current, target, gts in scenes:
             if len(gts) < 2:
                 continue
-            u, _, _, _, assignment = forward_loss(predictor, current, target, gts, cfg)
+            u, _ = predictor._forward(predictor._stack(current, target))
+            _, _, assignment = loss_and_grad(predictor, current, target, gts, cfg)
             alone = forward_assignment(predictor, current, target, gts, cfg)
             np.testing.assert_array_equal(alone[0], u)
             np.testing.assert_array_equal(alone[1], assignment)
@@ -1124,7 +1172,6 @@ class TestTraining:
 
     def test_holdout_rank_error_equals_the_two_call_computation(self):
         """One forward per scene gives the same bits as loss_and_grad plus predict_strokes."""
-        from strokecraft.painting.predictor import forward_loss
         from strokecraft.painting.training import _holdout_rank_error
 
         cfg = MatchConfig(max_strokes=4)
@@ -1135,12 +1182,14 @@ class TestTraining:
         for current, target, gts in scenes:
             if len(gts) < 2:
                 continue
-            _, _, assignment = loss_and_grad(predictor, current, target, gts, cfg)
+            loss, _, assignment = loss_and_grad(predictor, current, target, gts, cfg)
             scr = np.array([p.scr_r for p in predict_strokes(predictor, current, target)])
             order = np.array([g.order_index for g in gts])
             errors.append(pairwise_rank_error(scr[assignment], order))
-            u, _, loss, _, same = forward_loss(predictor, current, target, gts, cfg)
+            u, _ = predictor._forward(predictor._stack(current, target))
+            again, _, same = loss_and_grad(predictor, current, target, gts, cfg)
             np.testing.assert_array_equal(same, assignment)
-            assert loss == loss_and_grad(predictor, current, target, gts, cfg)[0]
+            assert again == loss
+            assert pairwise_rank_error(u[:, PARAM_COUNT + 2][assignment], order) == errors[-1]
         assert len(errors) == 6 and len(set(errors)) > 1
         assert _holdout_rank_error(predictor, scenes, cfg) == float(np.mean(errors))
