@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -35,7 +36,7 @@ from .diffusion.verify import all_passed, verify_identities
 from .errors import ConfigError, DataIOError, NumericalError, StrokecraftError, VerificationError
 from .manifest import RunManifest
 from .metrics import DEFAULT_FOREGROUND_THRESHOLD, connected_regions, mse
-from .painting import MatchConfig, StrokePredictor, layered_paint, scene_source, train_predictor
+from .painting import MatchConfig, StrokePredictor, layered_paint, make_scene, train_predictor
 from .pixmap import SUFFIX_BY_CHANNELS, quantize, read_pixmap, write_pixmap
 from .strokes.canvas import Canvas
 from .strokes.fitting import FIT_ITERATIONS, MIN_ITERATIONS, fit_stroke
@@ -256,8 +257,8 @@ def run_train_predictor(config: dict) -> RunManifest:
     cfg = MatchConfig(lambda_l1=lam[0], lambda_cos=lam[1], lambda_presence=lam[2],
                       lambda_rank=config["lambda_r"], margin=config["margin"],
                       max_strokes=config["slots"])
-    source = scene_source(side, min_strokes=config["min_strokes"],
-                          max_strokes=config["max_strokes"])
+    source = functools.partial(make_scene, side=side, min_strokes=config["min_strokes"],
+                               max_strokes=config["max_strokes"])
     result = train_predictor(source, cfg, config["epochs"],
                              np.random.default_rng(config["seed"]),
                              scenes_per_epoch=config["scenes_per_epoch"],

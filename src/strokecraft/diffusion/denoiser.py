@@ -80,9 +80,9 @@ class Denoiser:
         acts = [feats]
         h = feats
         for i, (w, b) in enumerate(layers):
-            h = nn.linear_forward(h, w, b)
+            h = h @ w + b
             if i < len(layers) - 1:
-                h = nn.tanh(h)
+                h = np.tanh(h)
             acts.append(h)
         return h, acts
 

@@ -55,7 +55,6 @@ class CrdResult:
 
     region_count: int
     area_ratio: float
-    labels: np.ndarray
 
 
 def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -97,9 +96,9 @@ def connected_regions(
 ) -> CrdResult:
     """Count 8-connected foreground regions and the foreground area fraction."""
     mask, _ = foreground_mask(pixels, threshold)
-    labels, count = label_components(mask)
+    _, count = label_components(mask)
     ratio = float(np.count_nonzero(mask)) / mask.size
-    return CrdResult(region_count=count, area_ratio=ratio, labels=labels)
+    return CrdResult(region_count=count, area_ratio=ratio)
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:

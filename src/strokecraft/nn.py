@@ -58,10 +58,6 @@ def param_views(params: np.ndarray, shapes) -> list[np.ndarray]:
             for shape, size, end in zip(shapes, sizes, ends)]
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 def dtanh(y: np.ndarray) -> np.ndarray:
     # derivative expressed through the activation output
     return 1.0 - y * y
@@ -78,10 +74,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def dsigmoid(y: np.ndarray) -> np.ndarray:
     return y * (1.0 - y)
-
-
-def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ w + b
 
 
 def linear_backward(

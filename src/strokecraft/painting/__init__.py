@@ -32,7 +32,6 @@ from .training import (
     ground_truth_from_stroke,
     make_scene,
     pairwise_rank_error,
-    scene_source,
     stroke_centroid,
     train_predictor,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "ranking_loss",
     "realize_stroke",
     "resize_canvas",
-    "scene_source",
     "stroke_centroid",
     "total_predictor_loss",
     "train_predictor",

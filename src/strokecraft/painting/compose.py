@@ -24,7 +24,6 @@ class PlacedStroke:
     layer: int = 0
     patch_row: int = 0
     patch_col: int = 0
-    slot: int = 0
 
 
 def realize_stroke(prediction: StrokePrediction, patch_side: float,
@@ -75,9 +74,8 @@ def place_predictions(predictions: list[StrokePrediction], patch_side: float,
             layer=layer,
             patch_row=patch[0],
             patch_col=patch[1],
-            slot=slot,
         )
-        for slot, pred in enumerate(predictions)
+        for pred in predictions
     ]
 
 
@@ -122,7 +120,6 @@ class PaintResult:
     intermediates: list[Canvas] = field(default_factory=list)
     strokes: list[PlacedStroke] = field(default_factory=list)
     layer_mse: list[float] = field(default_factory=list)
-    padded_to: int = 0
 
 
 def layered_paint(target: Canvas, predictor: StrokePredictor, layers: int, *,
@@ -151,7 +148,7 @@ def layered_paint(target: Canvas, predictor: StrokePredictor, layers: int, *,
     padded.pixels[: target.height, : target.width] = target.pixels
     current = Canvas.white((side, side), target.channels)
 
-    result = PaintResult(final=target, padded_to=side)
+    result = PaintResult(final=target)
     for layer in range(layers):
         grid = 2**layer
         patch = side // grid

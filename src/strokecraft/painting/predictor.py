@@ -98,12 +98,12 @@ class StrokePredictor:
     def _forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         w1, b1, w2, b2, w3, b3, w4, b4 = self._views()
         h1, cache1 = nn.conv2d_forward(x, w1, b1, stride=2, pad=1)
-        a1 = nn.tanh(h1)
+        a1 = np.tanh(h1)
         h2, cache2 = nn.conv2d_forward(a1, w2, b2, stride=2, pad=1)
-        a2 = nn.tanh(h2)
+        a2 = np.tanh(h2)
         flat = a2.reshape(x.shape[0], -1)
-        a3 = nn.tanh(nn.linear_forward(flat, w3, b3))
-        raw = nn.linear_forward(a3, w4, b4)
+        a3 = np.tanh(flat @ w3 + b3)
+        raw = a3 @ w4 + b4
         u = nn.sigmoid(raw)
         cache = {"cache1": cache1, "a1": a1, "cache2": cache2, "a2": a2,
                  "flat": flat, "a3": a3, "u": u}
@@ -135,20 +135,19 @@ class StrokePredictor:
 
 
 def predict_strokes(predictor: StrokePredictor, current: Canvas, target: Canvas,
-                    *, patch_side: float | None = None) -> list[StrokePrediction]:
+                    *, patch_side: float) -> list[StrokePrediction]:
     """All prediction slots for one canvas pair, in slot order.
 
     Stroke parameters are denormalized for patch_side (the true patch the
-    resized inputs stand for; defaults to the input side), so the returned
-    strokes are directly renderable there. Non-finite slot outputs, as a
-    checkpoint with a NaN weight gives, raise NumericalError.
+    resized inputs stand for), so the returned strokes are directly
+    renderable there. Non-finite slot outputs, as a checkpoint with a NaN
+    weight gives, raise NumericalError.
     """
     u, _ = predictor._forward(predictor._stack(current, target))
     if not np.all(np.isfinite(u)):
         raise NumericalError(f"predictor slot outputs are not finite "
                              f"({np.count_nonzero(~np.isfinite(u))} of {u.size} values)")
-    side = float(patch_side if patch_side is not None else predictor.arch["input_side"])
-    ranges = ParamRanges.for_canvas(side)
+    ranges = ParamRanges.for_canvas(patch_side)
     return [
         StrokePrediction(
             params=ranges.denormalize(row[:PARAM_COUNT]),

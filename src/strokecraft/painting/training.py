@@ -68,14 +68,6 @@ def make_scene(rng: np.random.Generator, side: int = DEFAULT_SCENE_SIDE, *,
     return Canvas.white((side, side), channels), target, gts
 
 
-def scene_source(side: int = DEFAULT_SCENE_SIDE, *, min_strokes: int = 1,
-                 max_strokes: int = 8):
-    """A generator callable for train_predictor with the sampling knobs bound."""
-    def source(rng: np.random.Generator):
-        return make_scene(rng, side, min_strokes=min_strokes, max_strokes=max_strokes)
-    return source
-
-
 def pairwise_rank_error(scr: np.ndarray, order: np.ndarray) -> float:
     """Fraction of earlier/later pairs whose scores disagree; ties count half."""
     scr = np.asarray(scr, dtype=np.float64)

@@ -17,8 +17,6 @@ class Canvas:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.pixels, dtype=np.float64)
-        if p.ndim == 2:
-            p = p[:, :, None]
         if p.ndim != 3 or p.shape[2] not in (1, 3):
             raise ConfigError(f"canvas pixels must be (H, W, 1|3), got {np.shape(self.pixels)}")
         self.pixels = p

@@ -84,10 +84,6 @@ class BezierStroke:
     def opacity(self) -> float:
         return float(self.vector[11])
 
-    @property
-    def width(self) -> float:
-        return float(self.vector[12])
-
 
 def generate_random_stroke(rng: np.random.Generator, ranges: ParamRanges) -> BezierStroke:
     """Each dimension uniform over its range."""

@@ -84,7 +84,7 @@ def test_odd_sides_fit_at_gate_09_rate(side):
     assert passes >= 4
 
 
-def test_fit_of_a_gray_target_is_unchanged():
+def test_fit_of_a_gray_target_is_unchanged(cpu_features):
     # captured before odd sides joined the half grid; even sides keep every bit
     _, canvas, _ = generate_visible_stroke(np.random.default_rng(902), 32, channels=1)
     result = fit_stroke(canvas)
@@ -96,7 +96,10 @@ def test_fit_of_a_gray_target_is_unchanged():
         "0x1.1842fe9759aa0p+3",
     ]
     assert [float(v).hex() for v in result.stroke.vector] == expected
-    assert float(result.loss).hex() == "0x1.a9ba7ed08e99cp-14"
+    # the coverage sigmoid's np.exp rounds its last bits apart in numpy's AVX-512 loop
+    loss = ("0x1.a9ba7ed08e99cp-14"
+            if cpu_features.get("AVX512_SKX") else "0x1.a9ba7ed08e997p-14")
+    assert float(result.loss).hex() == loss
 
 
 @pytest.mark.parametrize("shape", [(1, 9), (9, 1)])

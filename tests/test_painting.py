@@ -1,5 +1,6 @@
 """Matching/ranking losses, the stroke predictor, compositing, layered painting."""
 
+import functools
 import itertools
 from math import comb
 
@@ -31,7 +32,6 @@ from strokecraft.painting import (
     ranking_loss,
     realize_stroke,
     resize_canvas,
-    scene_source,
     stroke_centroid,
     total_predictor_loss,
     train_predictor,
@@ -697,7 +697,7 @@ class TestPredictor:
         rng = np.random.default_rng(12)
         predictor = StrokePredictor.create(rng)
         canvas = Canvas.white(32)
-        preds = predict_strokes(predictor, canvas, canvas)
+        preds = predict_strokes(predictor, canvas, canvas, patch_side=32)
         assert len(preds) == 8
         ranges = ParamRanges.for_canvas(32)
         for p in preds:
@@ -709,8 +709,8 @@ class TestPredictor:
     def test_deterministic(self):
         predictor = small_predictor()
         _, target, _ = tiny_scene(0)
-        first = predict_strokes(predictor, Canvas.white(8), target)
-        second = predict_strokes(predictor, Canvas.white(8), target)
+        first = predict_strokes(predictor, Canvas.white(8), target, patch_side=8)
+        second = predict_strokes(predictor, Canvas.white(8), target, patch_side=8)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.params, b.params)
             assert a.scr_r == b.scr_r and a.d == b.d
@@ -718,7 +718,7 @@ class TestPredictor:
     def test_patch_side_scales_spatial_dimensions(self):
         predictor = small_predictor()
         canvas = Canvas.white(8)
-        at8 = predict_strokes(predictor, canvas, canvas)
+        at8 = predict_strokes(predictor, canvas, canvas, patch_side=8)
         at16 = predict_strokes(predictor, canvas, canvas, patch_side=16)
         spatial = [0, 1, 2, 3, 4, 5, 6, 7, 12]
         for a, b in zip(at8, at16):
@@ -729,11 +729,12 @@ class TestPredictor:
     def test_size_and_channel_mismatches_rejected(self):
         predictor = small_predictor()
         with pytest.raises(ConfigError):
-            predict_strokes(predictor, Canvas.white(16), Canvas.white(8))
+            predict_strokes(predictor, Canvas.white(16), Canvas.white(8), patch_side=8)
         with pytest.raises(ConfigError):
-            predict_strokes(predictor, Canvas.white(8), Canvas.white(16))
+            predict_strokes(predictor, Canvas.white(8), Canvas.white(16), patch_side=8)
         with pytest.raises(ConfigError):
-            predict_strokes(predictor, Canvas.white(8, channels=1), Canvas.white(8, channels=1))
+            predict_strokes(predictor, Canvas.white(8, channels=1), Canvas.white(8, channels=1),
+                            patch_side=8)
 
     def test_create_rejects_bad_architectures(self):
         rng = np.random.default_rng(0)
@@ -750,8 +751,8 @@ class TestPredictor:
         path = tmp_path / "predictor.ckpt"
         predictor.save(path)
         loaded = StrokePredictor.load(path)
-        a = predict_strokes(predictor, Canvas.white(8), target)
-        b = predict_strokes(loaded, Canvas.white(8), target)
+        a = predict_strokes(predictor, Canvas.white(8), target, patch_side=8)
+        b = predict_strokes(loaded, Canvas.white(8), target, patch_side=8)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.params, y.params)
 
@@ -814,10 +815,15 @@ class TestRealizeAndOrder:
         def pred(scr, d):
             return StrokePrediction(params=np.ones(13), x_shift=0.5, y_shift=0.5,
                                     scr_r=scr, d=d)
-        placed = (place_predictions([pred(0.9, 1.0), pred(0.5, 1.0), pred(0.5, 0.2)], 8.0)
-                  + place_predictions([pred(0.5, 0.8), pred(0.1, 1.0)], 8.0, patch=(0, 1)))
+        left = [pred(0.9, 1.0), pred(0.5, 1.0), pred(0.5, 0.2)]
+        right = [pred(0.5, 0.8), pred(0.1, 1.0)]
+        placed = (place_predictions(left, 8.0)
+                  + place_predictions(right, 8.0, patch=(0, 1)))
         ordered = order_strokes(placed)
-        assert [(p.patch_col, p.slot) for p in ordered] == [(1, 1), (0, 1), (1, 0), (0, 0)]
+        expected = [right[1], left[1], right[0], left[0]]
+        assert len(ordered) == len(expected)
+        assert all(p.prediction is e for p, e in zip(ordered, expected))
+        assert [p.patch_col for p in ordered] == [1, 0, 1, 0]
         assert all(p.prediction.d >= 0.5 for p in ordered)
 
 
@@ -929,13 +935,16 @@ class TestLayeredPaint:
         predictor = StrokePredictor.create(np.random.default_rng(21))
         _, target, _ = make_scene(np.random.default_rng(22), 32, min_strokes=2, max_strokes=3)
         result = layered_paint(target, predictor, 1)
-        preds = predict_strokes(predictor, Canvas.white(32), target)
+        preds = predict_strokes(predictor, Canvas.white(32), target, patch_side=32)
         manual = Canvas.white(32)
         kept = composite(manual, place_predictions(preds, 32.0))
         np.testing.assert_array_equal(result.final.pixels, manual.pixels)
-        assert [p.slot for p in result.strokes] == [p.slot for p in kept]
+        assert len(result.strokes) == len(kept)
+        for painted, manual_stroke in zip(result.strokes, kept):
+            np.testing.assert_array_equal(painted.stroke.vector, manual_stroke.stroke.vector)
+            assert painted.prediction.scr_r == manual_stroke.prediction.scr_r
         assert len(result.intermediates) == 1
-        assert result.padded_to == 32
+        assert padded_side(32, 32, 1, predictor.arch["input_side"]) == 32
 
     def test_two_layers_stay_within_the_stroke_budget(self):
         predictor = StrokePredictor.create(np.random.default_rng(23))
@@ -956,7 +965,7 @@ class TestLayeredPaint:
         before = target.pixels.copy()
         result = layered_paint(target, predictor, 2)
         np.testing.assert_array_equal(target.pixels, before)
-        assert result.padded_to == 64
+        assert padded_side(48, 40, 2, predictor.arch["input_side"]) == 64
         assert result.final.height == 48 and result.final.width == 40
 
     def test_bad_inputs_rejected(self):
@@ -1110,7 +1119,7 @@ class TestTraining:
                             scenes_per_epoch=0)
 
     def test_creates_a_predictor_matched_to_the_scenes(self):
-        source = scene_source(32, min_strokes=1, max_strokes=2)
+        source = functools.partial(make_scene, side=32, min_strokes=1, max_strokes=2)
         result = train_predictor(source, MatchConfig(max_strokes=4), epochs=1,
                                  rng=np.random.default_rng(37), scenes_per_epoch=1,
                                  holdout_scenes=0)
@@ -1135,7 +1144,7 @@ class TestTraining:
         _, _, assignment = loss_and_grad(result.predictor, held[0], held[1],
                                          held[2], cfg)
         scr = np.array([p.scr_r for p in
-                        predict_strokes(result.predictor, held[0], held[1])])
+                        predict_strokes(result.predictor, held[0], held[1], patch_side=8)])
         order = np.array([g.order_index for g in held[2]])
         expected = pairwise_rank_error(scr[assignment], order)
         assert result.rank_error_history[-1] == pytest.approx(expected)
@@ -1183,7 +1192,8 @@ class TestTraining:
             if len(gts) < 2:
                 continue
             loss, _, assignment = loss_and_grad(predictor, current, target, gts, cfg)
-            scr = np.array([p.scr_r for p in predict_strokes(predictor, current, target)])
+            scr = np.array([p.scr_r for p in predict_strokes(predictor, current, target,
+                                                          patch_side=8)])
             order = np.array([g.order_index for g in gts])
             errors.append(pairwise_rank_error(scr[assignment], order))
             u, _ = predictor._forward(predictor._stack(current, target))

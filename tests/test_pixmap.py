@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from strokecraft.errors import DataIOError
+from strokecraft.errors import ConfigError, DataIOError
 from strokecraft.pixmap import quantize, read_pixmap, write_pixmap
 from strokecraft.strokes.canvas import Canvas
 
@@ -29,12 +29,18 @@ class TestWrite:
 
     def test_gray_bytes_are_canonical(self, tmp_path):
         path = tmp_path / "tiny.pgm"
-        write_pixmap(path, Canvas(np.array([[0.0, 1.0]])))
+        write_pixmap(path, Canvas(np.array([[0.0, 1.0]])[..., None]))
         assert path.read_bytes() == b"P5\n2 1\n255\n" + bytes([0, 255])
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(DataIOError):
-            write_pixmap(tmp_path / "no" / "dir.pgm", Canvas(np.ones((1, 1))))
+            write_pixmap(tmp_path / "no" / "dir.pgm", Canvas(np.ones((1, 1))[..., None]))
+
+    def test_canvas_takes_three_axes_only(self):
+        assert Canvas(np.ones((1, 2, 1))).channels == 1
+        for shape in ((1, 2), (1, 2, 2), (1, 2, 1, 1)):
+            with pytest.raises(ConfigError):
+                Canvas(np.ones(shape))
 
 
 class TestRead:

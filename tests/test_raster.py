@@ -578,7 +578,7 @@ def test_coverage_rejects_bad_samples_and_softness():
             coverage_batch(vectors, 8, 8, samples, softness)
 
 
-def test_fit_of_a_gate_09_target_is_unchanged():
+def test_fit_of_a_gate_09_target_is_unchanged(cpu_features):
     _, canvas, _ = generate_visible_stroke(np.random.default_rng(900), 32)
     result = fit_stroke(canvas)
     expected = [
@@ -589,5 +589,8 @@ def test_fit_of_a_gate_09_target_is_unchanged():
         "0x1.7b8b237d2f9a0p+2",
     ]
     assert [float(v).hex() for v in result.stroke.vector] == expected
-    assert float(result.loss).hex() == "0x1.1a562379669f2p-15"
+    # the coverage sigmoid's np.exp rounds its last bits apart in numpy's AVX-512 loop
+    loss = ("0x1.1a562379669f2p-15"
+            if cpu_features.get("AVX512_SKX") else "0x1.1a562379669e9p-15")
+    assert float(result.loss).hex() == loss
 
