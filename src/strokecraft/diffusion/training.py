@@ -92,6 +92,8 @@ def train_diffusion(
                     f"training diverged at epoch {epoch}, batch {start // batch_size}"
                 )
             opt.update(denoiser.params, grad)
+            # the next backward pass allocates its own gradient
+            del grad
             total += loss * len(chunk)
             seen += len(chunk)
         history.append(total / seen)

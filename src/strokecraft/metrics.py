@@ -33,11 +33,23 @@ def luminance(pixels: np.ndarray) -> np.ndarray:
 
 
 def background_value(gray: np.ndarray) -> float:
-    """Median brightness along the image border."""
+    """Median brightness along the image border; nan when any value is nan.
+
+    The median is taken from a sort as np.median takes it (the middle value,
+    or the two middle values added and halved), because np.median imports
+    numpy.ma.
+    """
     if gray.shape[0] < 2 or gray.shape[1] < 2:
-        return float(np.median(gray))
-    border = np.concatenate([gray[0, :], gray[-1, :], gray[1:-1, 0], gray[1:-1, -1]])
-    return float(np.median(border))
+        values = np.sort(gray, axis=None)
+    else:
+        values = np.sort(np.concatenate([gray[0, :], gray[-1, :], gray[1:-1, 0], gray[1:-1, -1]]))
+    # the sort puts nan last; an empty image has no median either
+    if values.size == 0 or np.isnan(values[-1]):
+        return float("nan")
+    half = values.size // 2
+    if values.size % 2:
+        return float(values[half])
+    return float((values[half - 1] + values[half]) / 2)
 
 
 def foreground_mask(
@@ -107,7 +119,8 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ConfigError(f"mse shapes differ: {a.shape} vs {b.shape}")
     diff = a - b
-    return float(np.mean(diff * diff))
+    diff *= diff
+    return float(np.mean(diff))
 
 
 def alpha_iou(a: np.ndarray, b: np.ndarray) -> float:

@@ -281,7 +281,9 @@ def ranking_loss(scr: np.ndarray, order: np.ndarray,
     grad = np.zeros_like(scr)
     if n < 2:
         return 0.0, grad
-    if len(np.unique(order)) != n:
+    # np.unique would import numpy.ma; two nans, which the sort puts last, count as equal
+    ordered = np.sort(order)
+    if (ordered[1:] == ordered[:-1]).any() or np.isnan(ordered[-2]):
         raise ConfigError("order indices must be distinct")
     pairs = comb(n, 2)
     # the pairs in the row-major order of a double loop over (i, j), with its running

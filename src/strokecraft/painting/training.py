@@ -148,6 +148,8 @@ def train_predictor(generator, cfg: MatchConfig, epochs: int, rng: np.random.Gen
             if not np.isfinite(loss):
                 raise NumericalError(f"training diverged at epoch {epoch}: loss {loss}")
             adam.update(predictor.params, grad)
+            # the next backward pass allocates its own gradient
+            del grad
             losses.append(loss)
         result.loss_history.append(float(np.mean(losses)))
         result.rank_error_history.append(_holdout_rank_error(predictor, holdout, cfg))

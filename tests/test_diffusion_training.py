@@ -1,6 +1,7 @@
 """Training loop: determinism, loss bookkeeping, prior modes, divergence."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -96,6 +97,25 @@ class TestTrainDiffusion:
         )
         assert np.array_equal(a.denoiser.params, b.denoiser.params)
         assert a.loss_history == b.loss_history
+
+    def test_one_gradient_lives_at_a_time(self, monkeypatch):
+        # step k's gradient is gone before step k+1's backward pass allocates its own
+        returned = []
+        loss_and_grad = Denoiser.loss_and_grad
+
+        def spy(self, *args):
+            assert all(ref() is None for ref in returned)
+            loss, grad = loss_and_grad(self, *args)
+            returned.append(weakref.ref(grad))
+            return loss, grad
+
+        monkeypatch.setattr(Denoiser, "loss_and_grad", spy)
+        train_diffusion(
+            tiny_dataset(np.random.default_rng(8)), build_schedule(8), SmrConfig(prior_pairs=2),
+            epochs=2, rng=np.random.default_rng(9), batch_size=4, hidden=(8,),
+        )
+        # 8 images with 2 priors each, in batches of 4, twice
+        assert len(returned) == 8
 
     @pytest.mark.parametrize("mode", ["x0", "linear", "cosine", "ellipse"])
     def test_alternative_prior_modes_run(self, mode):

@@ -186,6 +186,39 @@ def test_background_is_border_median():
     assert background_value(ramp) == np.median(border)
 
 
+def test_background_value_is_np_median_bit_for_bit():
+    rng = np.random.default_rng(27)
+    # a 1 x n or n x 1 image takes the median of all n values, odd or even in number;
+    # a larger image's border always holds an even number
+    shapes = [(1, n) for n in range(1, 12)] + [(n, 1) for n in range(1, 12)]
+    shapes += [(2, 2), (2, 5), (3, 3), (4, 7), (9, 6), (32, 32)]
+    for h, w in shapes:
+        for trial in range(40):
+            if trial % 2:
+                gray = rng.random((h, w))
+            else:  # repeated values
+                gray = rng.choice([0.0, 0.125, 0.3, 0.5, 1.0], (h, w))
+            if h < 2 or w < 2:
+                expected = np.median(gray)
+            else:
+                expected = np.median(np.concatenate(
+                    [gray[0], gray[-1], gray[1:-1, 0], gray[1:-1, -1]]))
+            assert np.float64(background_value(gray)).tobytes() == expected.tobytes()
+
+
+def test_background_value_is_nan_when_a_border_value_is():
+    rng = np.random.default_rng(28)
+    for h, w in [(1, 1), (1, 4), (5, 1), (2, 2), (6, 9)]:
+        for y, x in [(0, 0), (h - 1, w - 1), (h // 2, 0), (0, w // 2)]:
+            gray = rng.random((h, w))
+            gray[y, x] = np.nan
+            assert math.isnan(background_value(gray))
+    # the interior is not part of the border
+    gray = np.full((5, 5), 0.25)
+    gray[2, 2] = np.nan
+    assert background_value(gray) == 0.25
+
+
 def test_blank_image_has_no_regions():
     result = connected_regions(np.ones((16, 16)))
     assert result.region_count == 0
@@ -277,6 +310,7 @@ def test_mse_matches_double_loop():
             for c in range(3):
                 total += (a[i, j, c] - b[i, j, c]) ** 2
     assert np.isclose(mse(a, b), total / (6 * 7 * 3), rtol=1e-12)
+    assert mse(a, b) == np.mean((a - b) * (a - b))
 
 
 def test_alpha_iou_identical_and_disjoint():

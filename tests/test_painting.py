@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import weakref
 from math import comb
 
 import numpy as np
@@ -652,6 +653,28 @@ class TestRankingLoss:
         with pytest.raises(ConfigError):
             ranking_loss([0.1, 0.2], [1, 2, 3], 0.125)
 
+    def test_refuses_the_orders_np_unique_refuses(self):
+        # np.unique counts two nans as one value, and -0.0 as 0.0
+        with pytest.raises(ConfigError):
+            ranking_loss([0.1, 0.2, 0.3], [np.nan, 2, np.nan], 0.125)
+        with pytest.raises(ConfigError):
+            ranking_loss([0.1, 0.2], [0.0, -0.0], 0.125)
+        ranking_loss([0.1, 0.2, 0.3], [3, np.nan, 1], 0.125)
+        rng = np.random.default_rng(29)
+        values = [-0.0, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0, np.inf, -np.inf, np.nan, np.nan]
+        refused = 0
+        for _ in range(4000):
+            n = int(rng.integers(2, 9))
+            order = rng.choice(values, n)
+            scr = rng.uniform(size=n)
+            if len(np.unique(order)) == n:
+                ranking_loss(scr, order, 0.125)
+            else:
+                refused += 1
+                with pytest.raises(ConfigError):
+                    ranking_loss(scr, order, 0.125)
+        assert 0 < refused < 4000
+
 
 class TestTotalLoss:
     def test_zero_components_give_zero(self):
@@ -1125,6 +1148,23 @@ class TestTraining:
                                  holdout_scenes=0)
         assert result.predictor.arch["input_side"] == 32
         assert result.predictor.arch["max_strokes"] == 4
+
+    def test_one_gradient_lives_at_a_time(self, monkeypatch):
+        # step k's gradient is gone before step k+1's backward pass allocates its own
+        returned = []
+
+        def spy(*args):
+            assert all(ref() is None for ref in returned)
+            loss, grad, assignment = loss_and_grad(*args)
+            returned.append(weakref.ref(grad))
+            return loss, grad, assignment
+
+        monkeypatch.setattr("strokecraft.painting.training.loss_and_grad", spy)
+        scene = tiny_scene(42, side=8, count=2)
+        train_predictor(lambda r: scene, MatchConfig(max_strokes=3), epochs=2,
+                        rng=np.random.default_rng(43), predictor=small_predictor(seed=44),
+                        scenes_per_epoch=3, holdout_scenes=0)
+        assert len(returned) == 6
 
     def test_explicit_holdout_bypasses_the_generator(self):
         train = tiny_scene(38, side=8, count=1)
