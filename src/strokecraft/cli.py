@@ -22,21 +22,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, files
-from .diffusion import (
-    ETA_MODES,
-    PRIOR_MODES,
-    SCHEDULE_MODES,
-    Denoiser,
-    SmrConfig,
-    ancestral_sample,
-    build_schedule,
-    train_diffusion,
-)
+from .diffusion.denoiser import Denoiser
+from .diffusion.process import ETA_MODES, PRIOR_MODES, SmrConfig
+from .diffusion.sampler import ancestral_sample
+from .diffusion.schedule import SCHEDULE_MODES, build_schedule
+from .diffusion.training import train_diffusion
 from .diffusion.verify import all_passed, verify_identities
 from .errors import ConfigError, DataIOError, NumericalError, StrokecraftError, VerificationError
 from .manifest import RunManifest
 from .metrics import DEFAULT_FOREGROUND_THRESHOLD, connected_regions, mse
-from .painting import MatchConfig, StrokePredictor, layered_paint, make_scene, train_predictor
+from .painting.compose import layered_paint
+from .painting.losses import MatchConfig
+from .painting.predictor import StrokePredictor
+from .painting.training import make_scene, train_predictor
 from .pixmap import SUFFIX_BY_CHANNELS, quantize, read_pixmap, write_pixmap
 from .strokes.canvas import Canvas
 from .strokes.fitting import FIT_ITERATIONS, MIN_ITERATIONS, fit_stroke

@@ -111,9 +111,7 @@ def _col2im(
             xp[:, :, i : i + stride * hp : stride, j : j + stride * wp : stride] += cols[
                 :, :, i, j
             ]
-    if pad:
-        return xp[:, :, pad:-pad, pad:-pad]
-    return xp
+    return xp[:, :, pad : pad + h, pad : pad + w]
 
 
 def conv2d_forward(

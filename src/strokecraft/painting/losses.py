@@ -114,13 +114,13 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     algorithms" (IEEE TAES 52(4), 2016), step for step as the oracle solver
     of the tests takes it, so that ties resolve to the same indices: rows
     are added in order, columns are scanned from a remaining list that
-    starts reversed, an equal reduced cost prefers an unassigned column,
-    and a matrix with more rows than columns is solved transposed. Returns
-    the row indices in ascending order and the column assigned to each.
+    starts reversed, and an equal reduced cost prefers an unassigned column.
+    The matrix has no more rows than columns, the orientation matching
+    builds. Returns the row indices 0..rows-1 and the column assigned to
+    each.
     """
-    transpose = cost.shape[0] > cost.shape[1]
-    c = (cost.T if transpose else cost).tolist()
-    nr, nc = sorted(cost.shape)  # the matrix solved is never tall
+    c = cost.tolist()
+    nr, nc = cost.shape
     u = [0.0] * nr
     v = [0.0] * nc
     path = [-1] * nc
@@ -170,9 +170,6 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             col4row[i], j = j, col4row[i]
             if i == current:
                 break
-    if transpose:
-        order = sorted(range(nr), key=col4row.__getitem__)
-        return np.array(sorted(col4row), dtype=np.int64), np.array(order, dtype=np.int64)
     return np.arange(nr, dtype=np.int64), np.array(col4row, dtype=np.int64)
 
 
@@ -181,6 +178,8 @@ def hungarian_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ConfigError(f"cost matrix must be 2-D, got shape {cost.shape}")
+    if cost.shape[0] > cost.shape[1]:
+        raise ConfigError(f"cost matrix {cost.shape} has more rows than columns")
     if not np.all(np.isfinite(cost)):
         raise ConfigError("cost matrix contains non-finite entries")
     return linear_sum_assignment(cost)

@@ -17,33 +17,33 @@ import time
 import numpy as np
 import pytest
 
-from strokecraft.diffusion import (
-    Denoiser,
-    NoiseSchedule,
+from strokecraft.diffusion.denoiser import Denoiser
+from strokecraft.diffusion.process import (
     SmrConfig,
-    ancestral_sample,
-    build_schedule,
     ddpm_forward_sample,
     ddpm_posterior_mean_simplified,
     ddpm_posterior_moments,
+    recover_x0,
     smr_forward_sample,
     smr_marginal_moments,
     smr_posterior_moments,
     smr_transition_moments,
     snr_trajectory,
-    recover_x0,
-    train_diffusion,
 )
+from strokecraft.diffusion.sampler import ancestral_sample
+from strokecraft.diffusion.schedule import NoiseSchedule, build_schedule
+from strokecraft.diffusion.training import train_diffusion
 from strokecraft.metrics import alpha_iou, connected_regions
-from strokecraft.painting import (
+from strokecraft.painting.losses import (
     MatchConfig,
     hungarian_assignment,
-    make_scene,
     ranking_loss,
     total_predictor_loss,
-    train_predictor,
 )
-from strokecraft.strokes import fit_stroke, generate_visible_stroke, rasterize_stroke
+from strokecraft.painting.training import make_scene, train_predictor
+from strokecraft.strokes.fitting import fit_stroke
+from strokecraft.strokes.generate import generate_visible_stroke
+from strokecraft.strokes.raster import rasterize_stroke
 
 
 def _gate(num: int, ok: bool, detail: str) -> None:

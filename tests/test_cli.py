@@ -21,11 +21,12 @@ from strokecraft.cli import (
     main,
     rotate_stroke_ccw,
 )
-from strokecraft.diffusion import GaussianMoments, smr_posterior_moments
+from strokecraft.diffusion.process import GaussianMoments, smr_posterior_moments
 from strokecraft.errors import NumericalError
 from strokecraft.manifest import RunManifest
 from strokecraft.metrics import connected_regions, mse
-from strokecraft.painting import StrokePredictor, layered_paint
+from strokecraft.painting.compose import layered_paint
+from strokecraft.painting.predictor import StrokePredictor
 from strokecraft.pixmap import quantize, read_pixmap, write_pixmap
 from strokecraft.strokes.canvas import Canvas
 from strokecraft.strokes.generate import generate_visible_stroke

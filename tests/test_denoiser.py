@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from strokecraft import nn
-from strokecraft.diffusion import (
-    Denoiser,
-    SmrConfig,
-    build_schedule,
-    make_eta,
-    smr_forward_sample,
-    time_embedding,
-)
+from strokecraft.diffusion.denoiser import Denoiser, time_embedding
+from strokecraft.diffusion.process import SmrConfig, make_eta, smr_forward_sample
+from strokecraft.diffusion.schedule import build_schedule
 from strokecraft.errors import ConfigError, DataIOError
 
 

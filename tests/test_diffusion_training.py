@@ -6,16 +6,16 @@ import weakref
 import numpy as np
 import pytest
 
-from strokecraft.diffusion import (
+from strokecraft.diffusion.denoiser import Denoiser
+from strokecraft.diffusion.process import (
     ETA_MODES,
     PRIOR_MODES,
-    Denoiser,
     SmrConfig,
-    build_schedule,
     deterministic_prior_weight,
     make_eta,
-    train_diffusion,
 )
+from strokecraft.diffusion.schedule import build_schedule
+from strokecraft.diffusion.training import train_diffusion
 from strokecraft.errors import ConfigError, NumericalError
 from strokecraft.nn import Adam
 

@@ -11,14 +11,11 @@ import pytest
 
 from strokecraft.errors import ConfigError
 from strokecraft.metrics import alpha_iou
-from strokecraft.strokes import (
-    Canvas,
-    fit_stroke,
-    fitting,
-    generate_visible_stroke,
-    rasterize_stroke,
-)
-from strokecraft.strokes.raster import coverage_batch
+from strokecraft.strokes import fitting
+from strokecraft.strokes.canvas import Canvas
+from strokecraft.strokes.fitting import fit_stroke
+from strokecraft.strokes.generate import generate_visible_stroke
+from strokecraft.strokes.raster import coverage_batch, rasterize_stroke
 
 
 def test_odd_target_probes_on_the_half_grid_and_accepts_at_full_size(monkeypatch):

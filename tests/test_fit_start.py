@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 from strokecraft.metrics import alpha_iou
-from strokecraft.strokes import fitting, generate_visible_stroke, rasterize_stroke
+from strokecraft.strokes import fitting
+from strokecraft.strokes.generate import generate_visible_stroke
 from strokecraft.strokes.model import PARAM_COUNT, BezierStroke, ParamRanges
-from strokecraft.strokes.raster import DEFAULT_SOFTNESS
+from strokecraft.strokes.raster import DEFAULT_SOFTNESS, rasterize_stroke
 
 SIDE = 32
 SEEDS = range(900, 910)

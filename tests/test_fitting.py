@@ -5,15 +5,12 @@ import pytest
 
 from strokecraft.errors import ConfigError
 from strokecraft.metrics import alpha_iou, foreground_mask
-from strokecraft.strokes import (
-    Canvas,
-    ParamRanges,
-    fit_stroke,
-    fitting,
-    generate_visible_stroke,
-    rasterize_stroke,
-)
-from strokecraft.strokes.fitting import _initial_guess, _spine_guess
+from strokecraft.strokes import fitting
+from strokecraft.strokes.canvas import Canvas
+from strokecraft.strokes.fitting import _initial_guess, _spine_guess, fit_stroke
+from strokecraft.strokes.generate import generate_visible_stroke
+from strokecraft.strokes.model import ParamRanges
+from strokecraft.strokes.raster import rasterize_stroke
 
 
 _INTERIOR_RNG = np.random.default_rng(2024)

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from strokecraft.cli import main
 from strokecraft.diffusion.denoiser import Denoiser
-from strokecraft.painting import StrokePredictor
+from strokecraft.painting.predictor import StrokePredictor
 from strokecraft.pixmap import write_pixmap
-from strokecraft.strokes import Canvas
+from strokecraft.strokes.canvas import Canvas
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 FUZZ = settings(max_examples=40, derandomize=True, database=None, deadline=None,

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from strokecraft.cli import main
 from strokecraft.manifest import RunManifest
 from strokecraft.pixmap import write_pixmap
-from strokecraft.strokes import Canvas
+from strokecraft.strokes.canvas import Canvas
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 

@@ -17,7 +17,8 @@ from strokecraft.metrics import (
     luminance,
     mse,
 )
-from strokecraft.strokes import ParamRanges, generate_random_stroke, rasterize_stroke
+from strokecraft.strokes.model import ParamRanges, generate_random_stroke
+from strokecraft.strokes.raster import rasterize_stroke
 
 
 def flood_fill_labels(mask):

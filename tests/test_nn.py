@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from strokecraft import nn
-from strokecraft.diffusion import Denoiser
+from strokecraft.diffusion.denoiser import Denoiser
 from strokecraft.errors import ConfigError
-from strokecraft.painting import StrokePredictor
+from strokecraft.painting.predictor import StrokePredictor
 
 
 def glorot(rng, fan_in, fan_out, size):

@@ -10,44 +10,41 @@ import pytest
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from strokecraft import nn
+from strokecraft.diffusion.denoiser import Denoiser
 from strokecraft.errors import ConfigError, NumericalError
-from strokecraft.painting import (
+from strokecraft.painting.compose import (
+    composite,
+    layered_paint,
+    order_strokes,
+    padded_side,
+    place_predictions,
+    realize_stroke,
+    resize_canvas,
+)
+from strokecraft.painting.losses import (
+    PROB_FLOOR,
     GroundTruthStroke,
     MatchConfig,
     StrokePrediction,
-    StrokePredictor,
-    composite,
-    ground_truth_from_stroke,
     hungarian_assignment,
-    layered_paint,
-    loss_and_grad,
-    make_scene,
     match_assignment,
     matching_loss,
-    order_strokes,
     p_minus,
-    padded_side,
-    pairwise_rank_error,
-    place_predictions,
-    predict_strokes,
     ranking_loss,
-    realize_stroke,
-    resize_canvas,
-    stroke_centroid,
     total_predictor_loss,
+)
+from strokecraft.painting.predictor import StrokePredictor, loss_and_grad, predict_strokes
+from strokecraft.painting.training import (
+    ground_truth_from_stroke,
+    make_scene,
+    pairwise_rank_error,
+    stroke_centroid,
     train_predictor,
 )
-from strokecraft.diffusion.denoiser import Denoiser
-from strokecraft.painting.losses import PROB_FLOOR
-from strokecraft.strokes import (
-    BezierStroke,
-    PARAM_COUNT,
-    Canvas,
-    ParamRanges,
-    compose_over,
-    generate_random_stroke,
-    generate_visible_stroke,
-)
+from strokecraft.strokes.canvas import Canvas
+from strokecraft.strokes.generate import generate_visible_stroke
+from strokecraft.strokes.model import PARAM_COUNT, BezierStroke, ParamRanges, generate_random_stroke
+from strokecraft.strokes.raster import compose_over
 
 CFG = MatchConfig()
 
@@ -389,9 +386,10 @@ class TestHungarian:
     @pytest.mark.parametrize("seed, family",
                              enumerate(["normal", "ties", "duplicate-column-zero-row"]))
     def test_indices_equal_scipy(self, seed, family):
-        """Same rows and columns as scipy's solver, ties included, on every shape to 8x8."""
+        """Same rows and columns as scipy's solver, ties included, on every shape to 8x8
+        with no more rows than columns."""
         rng = np.random.default_rng(seed)
-        shapes = [(r, k) for r in range(1, 9) for k in range(1, 9)]
+        shapes = [(r, k) for r in range(1, 9) for k in range(r, 9)]
         for trial in range(3000):
             shape = shapes[trial % len(shapes)]
             if family == "ties":
@@ -407,11 +405,20 @@ class TestHungarian:
             assert cols.tolist() == want_cols.tolist(), cost
 
     def test_empty_matrices(self):
-        for shape in [(0, 0), (0, 3), (3, 0)]:
+        for shape in [(0, 0), (0, 3)]:
             rows, cols = hungarian_assignment(np.zeros(shape))
             want_rows, want_cols = scipy_assignment(np.zeros(shape))
             assert rows.tolist() == want_rows.tolist() == []
             assert cols.tolist() == want_cols.tolist() == []
+        with pytest.raises(ConfigError, match="more rows than columns"):
+            hungarian_assignment(np.zeros((3, 0)))
+
+    def test_rejects_more_rows_than_columns(self):
+        rng = np.random.default_rng(10)
+        for rows in range(2, 9):
+            cost = rng.standard_normal((rows, int(rng.integers(1, rows))))
+            with pytest.raises(ConfigError, match="more rows than columns"):
+                hungarian_assignment(cost)
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(ConfigError):

@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 import sympy
 
-from strokecraft.diffusion import (
-    NoiseSchedule,
+from strokecraft.diffusion.process import (
     SmrConfig,
-    build_schedule,
     ddpm_forward_sample,
     ddpm_posterior_mean_simplified,
     ddpm_posterior_moments,
@@ -29,6 +27,7 @@ from strokecraft.diffusion import (
     snr_trajectory,
     tau_target,
 )
+from strokecraft.diffusion.schedule import NoiseSchedule, build_schedule
 from strokecraft.errors import ConfigError
 
 

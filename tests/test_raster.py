@@ -25,9 +25,10 @@ import numpy as np
 import pytest
 
 from strokecraft.errors import ConfigError
-from strokecraft.strokes import fit_stroke, generate_visible_stroke
 from strokecraft.strokes import fitting, raster
 from strokecraft.strokes.canvas import Canvas
+from strokecraft.strokes.fitting import fit_stroke
+from strokecraft.strokes.generate import generate_visible_stroke
 from strokecraft.strokes.model import (
     BezierStroke,
     ParamRanges,

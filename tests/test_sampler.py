@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from strokecraft.diffusion import ancestral_sample, build_schedule
+from strokecraft.diffusion.sampler import ancestral_sample
+from strokecraft.diffusion.schedule import build_schedule
 from strokecraft.errors import NumericalError
 
 

@@ -5,8 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from strokecraft.diffusion import build_schedule
-from strokecraft.diffusion.schedule import BETA_ENDPOINTS
+from strokecraft.diffusion.schedule import BETA_ENDPOINTS, build_schedule
 from strokecraft.errors import ConfigError
 
 

@@ -2,10 +2,15 @@
 
 No module imports another module's private (underscore) name or reads one
 off a name it imported, and no module but a package ``__init__.py`` imports a
-name it never uses.
+name it never uses. Every name has one import path inside the package, its
+defining module: no module takes a name through a subpackage ``__init__.py``
+that only re-exports it, and each subpackage re-exports exactly the names
+that the README's library sketch imports from it.
 """
 
 import ast
+import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +19,8 @@ import strokecraft
 
 PACKAGE = Path(strokecraft.__file__).parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
+SUBPACKAGES = sorted(p.parent.name for p in PACKAGE.glob("*/__init__.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _is_private(name: str) -> bool:
@@ -71,6 +78,40 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def package_of(path: Path) -> str:
+    """The dotted package a module file belongs to, for relative imports."""
+    return ".".join(path.parent.relative_to(PACKAGE.parent).parts)
+
+
+def reexported_imports(tree: ast.Module, package: str) -> list[str]:
+    """Names taken from a strokecraft package ``__init__.py`` that only re-exports them.
+
+    A name the ``__init__`` binds by an import is a re-export; a submodule,
+    or a name the ``__init__`` defines itself, is not. ``package`` anchors
+    the relative imports.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+        init = PACKAGE.parent.joinpath(*source.split("."), "__init__.py")
+        if source.split(".")[0] != PACKAGE.name or not init.is_file():
+            continue
+        reexports = imported_names(parse(init))
+        found += [f"{source}.{a.name}" for a in node.names if a.name in reexports]
+    return found
+
+
+def sketch_imports() -> list[ast.stmt]:
+    """The import statements of the README's library-sketch code blocks."""
+    section = README.read_text(encoding="utf-8").split("\n## Library sketch\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    return [node for block in blocks for node in ast.parse(block).body
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def test_the_package_has_modules():
     assert len(MODULES) > 10
 
@@ -89,6 +130,40 @@ def test_no_private_attribute_is_read_off_an_import(path):
                          ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_imported_name_is_used(path):
     assert unused_imports(parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_name_is_imported_through_a_reexport(path):
+    assert reexported_imports(parse(path), package_of(path)) == []
+
+
+def test_the_readme_sketch_imports_run():
+    statements = sketch_imports()
+    assert statements
+    exec(compile(ast.Module(body=statements, type_ignores=[]), str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("name", SUBPACKAGES)
+def test_a_subpackage_reexports_only_the_readme_sketch_names(name):
+    dotted = f"{PACKAGE.name}.{name}"
+    sketch = {a.name for node in sketch_imports()
+              if isinstance(node, ast.ImportFrom) and node.module == dotted for a in node.names}
+    bound = set(imported_names(parse(PACKAGE / name / "__init__.py")))
+    assert sorted(importlib.import_module(dotted).__all__) == sorted(bound) == sorted(sketch)
+
+
+def test_the_reexport_check_sees_what_it_forbids():
+    tree = ast.parse(
+        "from . import __version__, files\n"
+        "from .diffusion import verify, SmrConfig\n"
+        "from .diffusion.process import ETA_MODES\n"
+        "from strokecraft.painting import compose, make_scene\n"
+        "from numpy import ndarray\n"
+    )
+    assert reexported_imports(tree, "strokecraft") == [
+        "strokecraft.diffusion.SmrConfig", "strokecraft.painting.make_scene"]
+    assert reexported_imports(ast.parse("from ..strokes import fit_stroke, raster\n"),
+                              "strokecraft.painting") == ["strokecraft.strokes.fit_stroke"]
 
 
 def test_the_checks_see_what_they_forbid():

@@ -5,21 +5,19 @@ import pytest
 
 from strokecraft.errors import ConfigError, DataIOError, NumericalError
 from strokecraft.metrics import alpha_iou, connected_regions, label_components
-from strokecraft.strokes import (
+from strokecraft.strokes import generate
+from strokecraft.strokes.generate import generate_visible_stroke
+from strokecraft.strokes.model import (
     PARAM_COUNT,
     REFERENCE_SIDE,
     BezierStroke,
     ParamRanges,
-    coverage_batch,
     generate_random_stroke,
-    generate_visible_stroke,
     load_strokes,
     max_opacity_equivalent,
-    rasterize_stroke,
     save_strokes,
 )
-from strokecraft.strokes import generate
-from strokecraft.strokes.raster import polyline_points
+from strokecraft.strokes.raster import coverage_batch, polyline_points, rasterize_stroke
 
 
 def de_casteljau(pts, u):

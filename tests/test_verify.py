@@ -6,9 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from strokecraft.diffusion import (
-    ancestral_sample,
-    build_schedule,
+from strokecraft.diffusion.process import (
+    GaussianMoments,
     ddpm_forward_sample,
     ddpm_posterior_mean_simplified,
     ddpm_posterior_moments,
@@ -20,7 +19,8 @@ from strokecraft.diffusion import (
     smr_transition_moments,
     snr_trajectory,
 )
-from strokecraft.diffusion.process import GaussianMoments
+from strokecraft.diffusion.sampler import ancestral_sample
+from strokecraft.diffusion.schedule import build_schedule
 from strokecraft.diffusion.verify import ETAS, IdentityCheck, all_passed, verify_identities
 
 VERIFY = "strokecraft.diffusion.verify"
